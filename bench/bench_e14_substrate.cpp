@@ -2,10 +2,8 @@
 //
 // Four measurements:
 //
-//   * Queue push→drain throughput, locked vs lockfree: one producer bursts
-//     into a Mailbox while the bench loop batch-drains it.  The lockfree arm
-//     is the MPSC chain + wakeup gate; the locked arm is the mutex+condvar
-//     BlockingQueue ablation (the same pair DOCT_QUEUE toggles at runtime).
+//   * Queue push→drain throughput: one producer bursts into a Mailbox (the
+//     MPSC chain + wakeup gate) while the bench loop batch-drains it.
 //   * Wakeup coalescing: wakeups actually paid per 1k pushes under a
 //     concurrent producer/consumer pair (the gate's whole point — a burst of
 //     N pushes should cost far fewer than N notifies).
@@ -27,20 +25,17 @@ namespace doct::bench {
 namespace {
 
 using common::Mailbox;
-using common::QueueBackend;
 using common::TimerWheel;
 
 constexpr int kBurst = 4096;
 
-void run_queue_push_drain(benchmark::State& state, QueueBackend backend) {
+void BM_E14_QueuePushDrain_Lockfree(benchmark::State& state) {
   std::int64_t items = 0;
   // Wall-clock rate: Counter::kIsRate divides by the *main thread's* CPU
-  // time, and in the locked arm the main thread spends the iteration asleep
-  // in pop_all — that denominator would inflate its rate by an order of
-  // magnitude vs the lockfree arm, whose consumer burns CPU harvesting.
+  // time, which leaves out the time the consumer spends asleep in pop_all.
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    Mailbox<int> box(backend);
+    Mailbox<int> box;
     std::thread producer([&] {
       for (int i = 0; i < kBurst; ++i) box.push(i);
       box.close();
@@ -66,13 +61,6 @@ void run_queue_push_drain(benchmark::State& state, QueueBackend backend) {
   }
 }
 
-void BM_E14_QueuePushDrain_Locked(benchmark::State& state) {
-  run_queue_push_drain(state, QueueBackend::kLocked);
-}
-void BM_E14_QueuePushDrain_Lockfree(benchmark::State& state) {
-  run_queue_push_drain(state, QueueBackend::kLockfree);
-}
-
 // Wakeups paid per 1k pushes with a live consumer.  The consumer drains as
 // fast as pop_all lets it; every drain re-arms the gate, so the measured
 // number is the real notify traffic of a producer/consumer pair — not the
@@ -83,7 +71,7 @@ void BM_E14_WakeupCoalescing(benchmark::State& state) {
   std::uint64_t signals = 0;
   std::uint64_t pushes = 0;
   for (auto _ : state) {
-    Mailbox<int> box(QueueBackend::kLockfree);
+    Mailbox<int> box;
     std::thread producer([&] {
       for (int i = 0; i < kPushes; ++i) box.push(i);
       box.close();
@@ -128,7 +116,7 @@ void BM_E14_WheelScheduleCancel(benchmark::State& state) {
 }
 
 // Same-node raise→object-handler allocations per op (the E14 gate shape:
-// event-lane width 4, reservations on, lockfree substrate).
+// event-lane width 4, reservations on).
 void BM_E14_LocalDeliveryAllocs(benchmark::State& state) {
   runtime::ClusterConfig config;
   config.node.kernel.executor.workers = 4;
@@ -178,7 +166,6 @@ void BM_E14_LocalDeliveryAllocs(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_E14_QueuePushDrain_Locked)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E14_QueuePushDrain_Lockfree)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E14_WakeupCoalescing)
     ->Unit(benchmark::kMillisecond)

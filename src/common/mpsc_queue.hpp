@@ -16,12 +16,10 @@
 //               predicate check and cv wait still holds the mutex, so the
 //               producer's lock_guard serializes behind it and the notify
 //               cannot be lost.
-//   Mailbox<T>  a BlockingQueue<T>-compatible facade over either backend —
-//               the old mutex+condvar BlockingQueue (DOCT_QUEUE=locked, the
-//               ablation/fallback) or the lock-free chain with a pooled-node
-//               freelist and the wakeup gate (DOCT_QUEUE=lockfree, default).
-//               Network node mailboxes and SocketTransport inbound/writer
-//               queues run on it.
+//   Mailbox<T>  closable MPSC mailbox: the lock-free chain with a
+//               pooled-node freelist and the wakeup gate.  Network node
+//               mailboxes and SocketTransport inbound/writer queues run on
+//               it.
 //
 // Closed-state contract (what the network's in-flight accounting needs):
 // push/push_bounded linearize against close() on one atomic state word, so a
@@ -32,8 +30,7 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -41,26 +38,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/queue.hpp"
-
 namespace doct::common {
-
-// ---------------------------------------------------------------------------
-// Backend selection
-
-enum class QueueBackend : std::uint8_t { kLocked, kLockfree };
-
-// DOCT_QUEUE=locked|lockfree.  Read at every construction site (executors,
-// mailboxes, the timing-substrate owners), so CI re-runs the full suite on
-// the locked ablation without recompiling and tests can flip backends
-// in-process between constructions.
-inline QueueBackend queue_backend() {
-  if (const char* env = std::getenv("DOCT_QUEUE")) {
-    if (std::strcmp(env, "locked") == 0) return QueueBackend::kLocked;
-    if (std::strcmp(env, "lockfree") == 0) return QueueBackend::kLockfree;
-  }
-  return QueueBackend::kLockfree;
-}
 
 // ---------------------------------------------------------------------------
 // MpscChain
@@ -246,18 +224,18 @@ class MpmcRing {
 // ---------------------------------------------------------------------------
 // Mailbox
 
-// BlockingQueue-compatible MPSC mailbox over either backend.  The consumer
-// side (pop_all / try_pop) must stay single-threaded — exactly how every
-// user runs it (one delivery/writer thread per mailbox, and teardown flushes
-// only after joining that thread).
+// Closable MPSC mailbox.  Any thread may push; the consumer side (pop_all /
+// try_pop) must stay single-threaded — exactly how every user runs it (one
+// delivery/writer thread per mailbox, and teardown flushes only after
+// joining that thread).
 template <typename T>
 class Mailbox {
  public:
-  using PushResult = typename BlockingQueue<T>::PushResult;
+  // kFull: a bounded push found `capacity` items queued (the caller counts a
+  // drop).  kClosed: the consumer is gone.  Either way the item is dropped.
+  enum class PushResult { kOk, kClosed, kFull };
 
-  explicit Mailbox(QueueBackend backend = queue_backend(),
-                   std::size_t pool_capacity = 512)
-      : backend_(backend), pool_(pool_capacity) {}
+  explicit Mailbox(std::size_t pool_capacity = 512) : pool_(pool_capacity) {}
 
   ~Mailbox() {
     MpscNode* node = chain_.take_all();
@@ -273,17 +251,15 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
+  // Returns false if the mailbox is closed (item is dropped).
   bool push(T item) {
-    if (backend_ == QueueBackend::kLocked) {
-      return locked_.push(std::move(item));
-    }
     return push_bounded(std::move(item), 0) == PushResult::kOk;
   }
 
+  // Bounded push: refuses the item (kFull) when `capacity` items are already
+  // queued, so a slow consumer exerts backpressure instead of growing the
+  // mailbox without bound.  capacity 0 = unbounded.
   PushResult push_bounded(T item, std::size_t capacity) {
-    if (backend_ == QueueBackend::kLocked) {
-      return locked_.push_bounded(std::move(item), capacity);
-    }
     // Admission first, on the shared state word: fetch_add linearizes
     // against close()'s fetch_or, so "admitted" and "closed" are mutually
     // exclusive outcomes and the depth check is exact.
@@ -307,7 +283,6 @@ class Mailbox {
   // Blocks until items are available or the mailbox is closed AND fully
   // drained; an empty deque means closed-and-drained (consumer exits).
   std::deque<T> pop_all() {
-    if (backend_ == QueueBackend::kLocked) return locked_.pop_all();
     std::deque<T> out;
     if (!drained_.empty()) {
       out.swap(drained_);
@@ -333,7 +308,6 @@ class Mailbox {
   }
 
   std::optional<T> try_pop() {
-    if (backend_ == QueueBackend::kLocked) return locked_.try_pop();
     while (drained_.empty()) {
       std::deque<T> got;
       harvest(got);
@@ -356,28 +330,20 @@ class Mailbox {
   }
 
   void close() {
-    if (backend_ == QueueBackend::kLocked) {
-      locked_.close();
-      return;
-    }
     state_.fetch_or(kClosedBit, std::memory_order_acq_rel);
     gate_.kick();
   }
 
   [[nodiscard]] bool closed() const {
-    if (backend_ == QueueBackend::kLocked) return locked_.closed();
     return (state_.load(std::memory_order_acquire) & kClosedBit) != 0;
   }
 
   [[nodiscard]] std::size_t size() const {
-    if (backend_ == QueueBackend::kLocked) return locked_.size();
     return static_cast<std::size_t>(state_.load(std::memory_order_acquire) &
                                     kDepthMask);
   }
 
-  [[nodiscard]] QueueBackend backend() const noexcept { return backend_; }
-
-  // Wakeup-coalescing instrumentation (lockfree backend; locked reports 0).
+  // Wakeup-coalescing instrumentation.
   [[nodiscard]] std::uint64_t wakeups() const noexcept {
     return gate_.wakeups();
   }
@@ -407,9 +373,6 @@ class Mailbox {
 
   static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kDepthMask = kClosedBit - 1;
-
-  QueueBackend backend_;
-  BlockingQueue<T> locked_;  // DOCT_QUEUE=locked backend
 
   MpscChain chain_;
   WakeupGate gate_;

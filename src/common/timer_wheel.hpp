@@ -1,12 +1,12 @@
 // Hierarchical timer wheel (Varghese & Lauck): O(1) schedule/cancel/expire
 // regardless of how many timers are pending.
 //
-// Replaces the per-owner scan-all-deadlines condvar loops (the RPC retry
-// thread's wait_until scan, the failure detector's beat loop, the kernel's
-// TIMER-record thread — which is also what monitor sampling deadlines ride
-// on): with thousands of pending calls those loops cost O(n) per wakeup and
-// a notify per registration; the wheel costs one slot append per schedule
-// and visits only the expiring slot per tick.
+// Each node runs exactly one, owned by its executor (exec::Executor::timers):
+// the kernel's TIMER records (which monitor sampling deadlines ride on), the
+// RPC retry/deadline timers and the failure detector's heartbeat all share
+// its tick thread.  A scan-all-deadlines loop costs O(n) per wakeup and a
+// notify per registration with thousands of pending calls; the wheel costs
+// one slot append per schedule and visits only the expiring slot per tick.
 //
 // Four levels of 64 slots at a 1ms tick cover ~64ms / ~4s / ~4.4min / ~4.7h;
 // longer delays clamp to the top level and re-cascade.  The tick thread
@@ -19,8 +19,11 @@
 // Callbacks fire on the wheel's single tick thread, OUTSIDE the wheel lock —
 // they may schedule/cancel freely, but must not block for long (they share
 // the thread with every other timer).  cancel() prevents all future fires
-// but does NOT wait for an in-flight callback; owners that destroy callback
-// state must stop() the wheel first (stop joins the tick thread).
+// but does NOT wait for an in-flight callback.  The executor stops the
+// shared wheel (stop joins the tick thread) after draining its workers and
+// before any owner's callback state is destroyed; an owner that must stop
+// firing earlier (the failure detector) waits out its own in-flight
+// callback.
 #pragma once
 
 #include <atomic>
@@ -69,8 +72,7 @@ class TimerWheel {
   bool cancel(TimerId id);
 
   // Stops and joins the tick thread; pending timers never fire.  Idempotent.
-  // Called by the destructor, but owners whose callbacks touch member state
-  // should call it explicitly before that state is destroyed.
+  // Called by the destructor; the owning executor calls it from shutdown().
   void stop();
 
   [[nodiscard]] Stats stats() const;

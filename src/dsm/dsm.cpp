@@ -357,10 +357,11 @@ Result<rpc::Payload> DsmEngine::rpc_get_page(NodeId caller, Reader& args) {
       if (access == Access::kWrite) {
         frame.state = PageState::kInvalid;
         frame.data.clear();
-        frame.version++;
       } else if (frame.state == PageState::kOwned) {
         frame.state = PageState::kShared;
       }
+      // Bumped on a read downgrade too: see rpc_fetch.
+      frame.version++;
     }
   } else {
     Writer w;
@@ -464,10 +465,16 @@ Result<rpc::Payload> DsmEngine::rpc_fetch(NodeId, Reader& args) {
   if (downgrade == Downgrade::kToInvalid) {
     frame.state = PageState::kInvalid;
     frame.data.clear();
-    frame.version++;
   } else if (frame.state == PageState::kOwned) {
     frame.state = PageState::kShared;
   }
+  // A read downgrade bumps the version as well.  This node may hold a shared
+  // copy while its own upgrade grant is in transit: the home already made it
+  // owner, so the new reader joined a copyset that grant never invalidates.
+  // The bump makes the upgrading fault retry, and the retried grant
+  // invalidates the reader; otherwise the owner would write under a reader
+  // that keeps its stale copy forever.
+  frame.version++;
   return std::move(reply).take();
 }
 

@@ -91,7 +91,6 @@ Executor::Executor(ExecutorConfig config, std::string name, std::uint64_t node)
       (config_.event.width == 0 || config_.event.width > 1)) {
     config_.event.width = 1;
   }
-  lockfree_ = config_.queue == common::QueueBackend::kLockfree;
 
   for (std::size_t i = 0; i < kLaneCount; ++i) {
     const std::string lane = lane_name(static_cast<Lane>(i));
@@ -221,22 +220,22 @@ void Executor::wake_workers_locked() {
 }
 
 Status Executor::submit(Lane lane, common::SmallTask fn) {
-  return admit(lane, std::move(fn), 0, /*may_block=*/true);
+  return admit(lane, std::move(fn), /*may_block=*/true);
 }
 
 Status Executor::try_submit(Lane lane, common::SmallTask fn) {
-  return admit(lane, std::move(fn), 0, /*may_block=*/false);
+  return admit(lane, std::move(fn), /*may_block=*/false);
 }
 
 Status Executor::submit(Lane lane, ReservationSet reservations,
                         common::SmallTask fn) {
-  return admit(lane, std::move(fn), 0, /*may_block=*/true,
+  return admit(lane, std::move(fn), /*may_block=*/true,
                std::move(reservations));
 }
 
 Status Executor::try_submit(Lane lane, ReservationSet reservations,
                             common::SmallTask fn) {
-  return admit(lane, std::move(fn), 0, /*may_block=*/false,
+  return admit(lane, std::move(fn), /*may_block=*/false,
                std::move(reservations));
 }
 
@@ -245,20 +244,15 @@ Status Executor::submit_coalesced(Lane lane, std::uint64_t key,
   if (key == 0) {
     return {StatusCode::kInvalidArgument, "coalesce key must be non-zero"};
   }
-  // Coalescing producers are delivery/beat threads: never park them.
-  return admit(lane, std::move(fn), key, /*may_block=*/false);
-}
-
-Status Executor::admit(Lane lane, common::SmallTask fn, std::uint64_t key,
-                       bool may_block, ReservationSet reservations) {
   stats_[static_cast<std::size_t>(lane)].submitted.fetch_add(1);
   // Keyed (coalescible) admission needs the supersede-in-place index, which
   // only exists under mu_; it is never the hot path.
-  if (!lockfree_ || key != 0) {
-    return admit_locked(lane, std::move(fn), key, may_block,
-                        std::move(reservations));
-  }
+  return admit_locked(lane, std::move(fn), key);
+}
 
+Status Executor::admit(Lane lane, common::SmallTask fn, bool may_block,
+                       ReservationSet reservations) {
+  stats_[static_cast<std::size_t>(lane)].submitted.fetch_add(1);
   const std::size_t idx = physical_lane(lane);
   const LaneConfig& cfg = lane_config(idx);
   LaneState& state = lanes_[idx];
@@ -308,62 +302,44 @@ Status Executor::admit(Lane lane, common::SmallTask fn, std::uint64_t key,
 }
 
 Status Executor::admit_locked(Lane lane, common::SmallTask fn,
-                              std::uint64_t key, bool may_block,
-                              ReservationSet reservations) {
+                              std::uint64_t key) {
   const std::size_t idx = physical_lane(lane);
   const LaneConfig& cfg = lane_config(idx);
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (closed_.load(std::memory_order_relaxed)) {
       return {StatusCode::kAborted, "executor shutting down"};
     }
     LaneState& state = lanes_[idx];
-    if (key != 0) {
-      // The supersede check must see queued-but-undrained lockfree intake
-      // nodes too; splice them in before consulting the index.
-      if (lockfree_) drain_intakes_locked();
-      auto it = state.coalesce_index.find(key);
-      if (it != state.coalesce_index.end()) {
-        // Idempotent work already queued: the fresh fn supersedes it in
-        // place — same queue position, no extra capacity.
-        it->second->fn = std::move(fn);
-        stats_[static_cast<std::size_t>(lane)].coalesced.fetch_add(1);
-        return Status::ok();
-      }
+    // The supersede check must see queued-but-undrained intake nodes too;
+    // splice them in before consulting the index.
+    drain_intakes_locked();
+    auto it = state.coalesce_index.find(key);
+    if (it != state.coalesce_index.end()) {
+      // Idempotent work already queued: the fresh fn supersedes it in
+      // place — same queue position, no extra capacity.
+      it->second->fn = std::move(fn);
+      stats_[static_cast<std::size_t>(lane)].coalesced.fetch_add(1);
+      return Status::ok();
     }
+    // Coalescing producers are delivery/timer threads: never park them, so
+    // a full lane sheds whatever its policy.
     if (cfg.capacity > 0 &&
         state.depth.load(std::memory_order_relaxed) >= cfg.capacity) {
-      if (may_block && cfg.policy == OverloadPolicy::kBlock) {
-        const bool space = space_cv_.wait_for(lock, cfg.block_deadline, [&] {
-          return closed_.load(std::memory_order_relaxed) ||
-                 state.depth.load(std::memory_order_relaxed) < cfg.capacity;
-        });
-        if (closed_.load(std::memory_order_relaxed)) {
-          return {StatusCode::kAborted, "executor shutting down"};
-        }
-        if (!space) {
-          note_shed(lane);
-          return {StatusCode::kResourceExhausted,
-                  std::string("lane full past block deadline: ") +
-                      lane_name(lane)};
-        }
-      } else {
-        note_shed(lane);
-        return {StatusCode::kResourceExhausted,
-                std::string("lane overloaded: ") + lane_name(lane)};
-      }
+      note_shed(lane);
+      return {StatusCode::kResourceExhausted,
+              std::string("lane overloaded: ") + lane_name(lane)};
     }
     Task* task = alloc_task();
     task->fn = std::move(fn);
     task->key = key;
     task->origin = lane;
-    task->keys = std::move(reservations);
     if (obs::metrics_enabled()) {
       task->enqueued_us = obs::now_us();
       depth_gauge_[idx]->add(1);
     }
     if (obs::tracing_enabled()) task->trace = obs::current_context();
-    if (key != 0) state.coalesce_index[key] = task;
+    state.coalesce_index[key] = task;
     state.depth.fetch_add(1, std::memory_order_relaxed);
     state.staging.push_back(task);
   }
@@ -568,9 +544,9 @@ void Executor::shutdown() {
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
-  // Late lockfree admissions can land on an intake chain after the workers'
-  // final drain (producers never hold mu_).  Run them inline — shutdown
-  // keeps the "queued work runs to completion" drain contract.
+  // Late admissions can land on an intake chain after the workers' final
+  // drain (producers never hold mu_).  Run them inline — shutdown keeps the
+  // "queued work runs to completion" drain contract.
   for (std::size_t i = 0; i < kLaneCount; ++i) {
     LaneState& state = lanes_[i];
     common::MpscNode* node = state.intake.take_all();
@@ -588,6 +564,8 @@ void Executor::shutdown() {
       node = next;
     }
   }
+  // Last: timer callbacks may still be feeding work to the drain above.
+  timers_.stop();
 }
 
 bool Executor::closed() const {

@@ -4,9 +4,9 @@
 // substrate argument: who runs event work, and at what cost, decides whether
 // asynchronous events are usable at all.  Before this layer the substrate was
 // fragmented — RPC servers, the master handler, the surrogate pool each owned
-// an ad-hoc ThreadPool over an *unbounded* BlockingQueue, so an event storm
-// could starve TERMINATE/NODE_DOWN control traffic and grow memory without
-// bound.  This executor is the one well-defined substrate per node:
+// an ad-hoc thread pool over an *unbounded* queue, so an event storm could
+// starve TERMINATE/NODE_DOWN control traffic and grow memory without bound.
+// This executor is the one well-defined substrate per node:
 //
 //   kControl  TERMINATE/NODE_DOWN/heartbeat reactions, RPC replies, census.
 //             Serviced first, always; `control_reserve` workers never touch
@@ -34,19 +34,18 @@
 //               replaces a queued task with the same key in place; unkeyed
 //               overflow sheds like kShedNewest.
 //
-// QUEUEING SUBSTRATE (DOCT_QUEUE=lockfree, the default): producers do not
-// take the scheduler mutex at all.  Admission is one fetch_add on the lane's
-// depth word (exact bounded admission: fetch_add serializes, so exactly
-// `capacity` producers win), the task rides a pooled intrusive node onto the
-// lane's lock-free MPSC intake chain (one CAS), and at most ONE wakeup is
-// paid per burst (wake_pending_ gate).  Workers — under the scheduler mutex
+// QUEUEING SUBSTRATE: unkeyed producers do not take the scheduler mutex at
+// all.  Admission is one fetch_add on the lane's depth word (exact bounded
+// admission: fetch_add serializes, so exactly `capacity` producers win),
+// the task rides a pooled intrusive node onto the lane's lock-free MPSC
+// intake chain (one CAS), and at most ONE wakeup is paid per burst
+// (wake_pending_ gate).  Workers — under the scheduler mutex
 // they already needed for reservations — splice the intake chains into the
 // staging lists in O(batch) and run the same pick scan as before.  Task
 // bodies are SmallTask (fixed inline buffer, no heap), task nodes are pooled
 // and recycled, so a warmed submit→execute round trip performs zero heap
-// allocations.  DOCT_QUEUE=locked keeps the previous mutex+condvar admission
-// as the ablation/fallback; scheduling semantics (priorities, widths,
-// reservations, per-key FIFO) are identical in both modes.
+// allocations.  Keyed (coalescing) admission is the one locked path: it
+// needs the supersede-in-place index, which lives under the scheduler mutex.
 //
 // Workers batch-drain lanes whose tasks are non-blocking (the control lane
 // by default): one lock round-trip takes up to `batch` tasks, and every
@@ -70,6 +69,11 @@
 // `reservations = false` the safety mechanism is gone, so the executor
 // clamps the event lane back to width 1 — the ablation arm stays serial
 // rather than racy.
+//
+// TIMERS: the executor also owns the node's one timer wheel (timers()).
+// Kernel TIMER records, RPC retry/deadline timers and the heartbeat all
+// ride it, so a node runs one timer tick thread however many layers keep
+// deadlines.  shutdown() stops the wheel only after the workers drain.
 #pragma once
 
 #include <atomic>
@@ -85,6 +89,7 @@
 #include "common/inline.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/result.hpp"
+#include "common/timer_wheel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -145,9 +150,6 @@ struct ExecutorConfig {
   // likewise overrides event.width — the CI width-ablation lane re-runs the
   // suites across the {width} x {reservations} matrix without recompiling.
   bool reservations = true;
-  // Lane queueing backend; defaults to DOCT_QUEUE (lockfree unless
-  // DOCT_QUEUE=locked).  Tests pin it explicitly to exercise both.
-  common::QueueBackend queue = common::queue_backend();
   LaneConfig control{.capacity = 4096,
                      .policy = OverloadPolicy::kBlock,
                      .batch = 32};
@@ -171,8 +173,8 @@ struct ExecutorStats {
   // Reservation scheduling (executor-wide, keys span lanes).
   std::uint64_t reservation_acquired = 0;   // tasks run holding >= 1 key
   std::uint64_t reservation_conflicts = 0;  // tasks that waited on a key
-  // Producer->worker wakeups actually paid vs. admissions (lockfree mode):
-  // the coalescing invariant says wakeups <= bursts, not pushes.
+  // Producer->worker wakeups actually paid vs. admissions: the coalescing
+  // invariant says wakeups <= bursts, not pushes.
   std::uint64_t wakeups = 0;
   [[nodiscard]] std::uint64_t shed_total() const {
     std::uint64_t total = 0;
@@ -222,14 +224,19 @@ class Executor {
   // the lane, the new fn replaces it in place (same queue position, no
   // capacity consumed) and the call reports Ok.  key must be non-zero.
   // Keyed admission always takes the scheduler mutex (supersede-in-place
-  // needs a consistent index view); coalescing producers are beat threads,
-  // never the hot path.
+  // needs a consistent index view); coalescing producers are delivery and
+  // timer callbacks, never the hot path.
   Status submit_coalesced(Lane lane, std::uint64_t key, common::SmallTask fn);
 
   // Closes admission, drains every queued task (higher lanes first), joins
-  // all workers.  Idempotent.  Queued work runs to completion so callers
-  // can rely on ThreadPool-drain semantics at teardown.
+  // all workers, then stops the timer wheel.  Idempotent.  Queued work runs
+  // to completion, and timer callbacks keep firing until the drain ends, so
+  // neither outlives the state of a subsystem torn down after shutdown().
   void shutdown();
+
+  // The node's shared timer wheel.  Callbacks run on its one tick thread and
+  // must not block for long.
+  [[nodiscard]] common::TimerWheel& timers() { return timers_; }
 
   [[nodiscard]] bool closed() const;
   [[nodiscard]] std::size_t lane_depth(Lane lane) const;
@@ -282,7 +289,7 @@ class Executor {
   };
 
   struct LaneState {
-    common::MpscChain intake;  // lockfree producers land here
+    common::MpscChain intake;  // unkeyed producers land here
     TaskList staging;          // scheduler's view (pick scan), under mu_
     std::unordered_map<std::uint64_t, Task*> coalesce_index;
     std::size_t active = 0;  // workers currently executing this lane
@@ -299,10 +306,10 @@ class Executor {
     common::PaddedCounter coalesced;
   };
 
-  Status admit(Lane lane, common::SmallTask fn, std::uint64_t key,
-               bool may_block, ReservationSet reservations = {});
-  Status admit_locked(Lane lane, common::SmallTask fn, std::uint64_t key,
-                      bool may_block, ReservationSet reservations);
+  Status admit(Lane lane, common::SmallTask fn, bool may_block,
+               ReservationSet reservations = {});
+  // Keyed (coalescing) admission under mu_; never blocks.
+  Status admit_locked(Lane lane, common::SmallTask fn, std::uint64_t key);
   [[nodiscard]] Task* alloc_task();
   void recycle_task(Task* task);
   // Producer-side wakeup: at most one notify per burst (wake_pending_).
@@ -330,7 +337,6 @@ class Executor {
   ExecutorConfig config_;
   SteadyClock clock_;
   std::uint64_t node_ = 0;
-  bool lockfree_ = true;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for eligible work
@@ -354,6 +360,7 @@ class Executor {
   common::PaddedCounter reservation_conflicts_;
 
   std::vector<std::thread> threads_;
+  common::TimerWheel timers_;
 
   // Resolved once; hot paths record without a registry lookup.
   obs::Gauge* depth_gauge_[kLaneCount] = {};

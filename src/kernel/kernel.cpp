@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/log.hpp"
-#include "common/mpsc_queue.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
@@ -50,6 +49,7 @@ Kernel::Kernel(net::Transport& network, net::Demux& demux, rpc::RpcEndpoint& rpc
       self_(self),
       ids_(ids),
       config_(config),
+      wheel_(rpc.executor().timers()),
       location_cache_(config_.location_cache) {
   // All three kernel RPC methods are non-blocking (they enqueue or read local
   // state), so they run inline on the delivery thread (kFast): delivery makes
@@ -88,14 +88,6 @@ Kernel::Kernel(net::Transport& network, net::Demux& demux, rpc::RpcEndpoint& rpc
     }
   });
 
-  if (common::queue_backend() == common::QueueBackend::kLockfree) {
-    // Per-record wheel timers: arming/cancelling is O(1), and an idle node
-    // (no TIMER registrations) runs no timer thread at all.
-    timer_wheel_ = std::make_unique<common::TimerWheel>();
-  } else {
-    timer_thread_ = std::thread([this] { timer_loop(); });
-  }
-
   deliver_us_ = &obs::metrics().histogram("kernel.deliver_us");
   const std::string prefix = "node" + std::to_string(self_.value());
   metrics_source_ = obs::metrics().register_source(prefix + ".kernel", [this] {
@@ -128,14 +120,8 @@ Kernel::Kernel(net::Transport& network, net::Demux& demux, rpc::RpcEndpoint& rpc
 }
 
 Kernel::~Kernel() {
-  // Stop timers first: wheel callbacks / the timer thread touch contexts_.
-  if (timer_wheel_) timer_wheel_->stop();  // joins the tick thread
-  {
-    std::lock_guard<std::mutex> lock(timers_mu_);
-    timers_shutdown_ = true;
-  }
-  timers_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
+  // No TIMER callback runs past this point: the node executor stopped the
+  // shared wheel when NodeRuntime drained it, before any subsystem died.
 
   // Ask all live local threads to terminate, then join the root carriers.
   {
@@ -1174,19 +1160,14 @@ Status Kernel::add_timer(ThreadContext& ctx, TimerRecord record) {
     std::lock_guard<std::mutex> lock(timers_mu_);
     std::erase_if(timers_, [&](const TimerEntry& e) {
       if (e.tid == ctx.tid() && e.record.event == record.event) {
-        if (timer_wheel_ && e.wheel_timer != 0) {
-          timer_wheel_->cancel(e.wheel_timer);
-        }
+        wheel_.cancel(e.wheel_timer);
         return true;
       }
       return false;
     });
-    timers_.push_back(TimerEntry{
-        ctx.tid(), record,
-        clock_.now() + std::chrono::microseconds(record.period_us)});
-    if (timer_wheel_) arm_wheel_locked(timers_.back());
+    timers_.push_back(TimerEntry{ctx.tid(), record});
+    arm_wheel_locked(timers_.back());
   }
-  timers_cv_.notify_all();
   return Status::ok();
 }
 
@@ -1198,9 +1179,7 @@ Status Kernel::remove_timer(ThreadContext& ctx, EventId event) {
   std::lock_guard<std::mutex> lock(timers_mu_);
   std::erase_if(timers_, [&](const TimerEntry& e) {
     if (e.tid == ctx.tid() && e.record.event == event) {
-      if (timer_wheel_ && e.wheel_timer != 0) {
-        timer_wheel_->cancel(e.wheel_timer);
-      }
+      wheel_.cancel(e.wheel_timer);
       return true;
     }
     return false;
@@ -1214,23 +1193,18 @@ void Kernel::start_timers_for(ThreadContext& ctx) {
   const auto records = ctx.with_attributes(
       [](ThreadAttributes& a) { return a.timers; });
   if (records.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(timers_mu_);
-    for (const auto& record : records) {
-      timers_.push_back(TimerEntry{
-          ctx.tid(), record,
-          clock_.now() + std::chrono::microseconds(record.period_us)});
-      if (timer_wheel_) arm_wheel_locked(timers_.back());
-    }
+  std::lock_guard<std::mutex> lock(timers_mu_);
+  for (const auto& record : records) {
+    timers_.push_back(TimerEntry{ctx.tid(), record});
+    arm_wheel_locked(timers_.back());
   }
-  timers_cv_.notify_all();
 }
 
 void Kernel::stop_timers_for(ThreadId tid) {
   std::lock_guard<std::mutex> lock(timers_mu_);
   std::erase_if(timers_, [&](const TimerEntry& e) {
     if (e.tid != tid) return false;
-    if (timer_wheel_ && e.wheel_timer != 0) timer_wheel_->cancel(e.wheel_timer);
+    wheel_.cancel(e.wheel_timer);
     return true;
   });
 }
@@ -1238,7 +1212,7 @@ void Kernel::stop_timers_for(ThreadId tid) {
 void Kernel::arm_wheel_locked(TimerEntry& entry) {
   const ThreadId tid = entry.tid;
   const EventId event = entry.record.event;
-  entry.wheel_timer = timer_wheel_->schedule(
+  entry.wheel_timer = wheel_.schedule(
       std::chrono::microseconds(entry.record.period_us),
       [this, tid, event] { on_wheel_timer(tid, event); });
 }
@@ -1247,24 +1221,20 @@ void Kernel::on_wheel_timer(ThreadId tid, EventId event) {
   // The one-shot wheel timer has fired; look the registry entry back up (it
   // may have been removed or migrated away since arming — then do nothing).
   TimerRecord fired;
-  bool found = false;
   {
     std::lock_guard<std::mutex> lock(timers_mu_);
-    if (timers_shutdown_) return;
     auto it = std::find_if(timers_.begin(), timers_.end(),
                            [&](const TimerEntry& e) {
                              return e.tid == tid && e.record.event == event;
                            });
     if (it == timers_.end()) return;
     fired = it->record;
-    found = true;
     if (fired.one_shot) {
       timers_.erase(it);
     } else {
       arm_wheel_locked(*it);  // next period
     }
   }
-  if (!found) return;
   auto ctx = find_context(tid);
   if (ctx != nullptr && ctx->here() && !ctx->terminated()) {
     EventNotice notice;
@@ -1281,53 +1251,6 @@ void Kernel::on_wheel_timer(ThreadId tid, EventId event) {
       });
     }
     bump(&AtomicStats::timer_events);
-  }
-}
-
-void Kernel::timer_loop() {
-  std::unique_lock<std::mutex> lock(timers_mu_);
-  while (!timers_shutdown_) {
-    if (timers_.empty()) {
-      timers_cv_.wait(lock, [&] { return !timers_.empty() || timers_shutdown_; });
-      continue;
-    }
-    auto next = std::min_element(
-        timers_.begin(), timers_.end(),
-        [](const TimerEntry& a, const TimerEntry& b) {
-          return a.next_fire < b.next_fire;
-        });
-    const Duration now = clock_.now();
-    if (next->next_fire > now) {
-      timers_cv_.wait_until(lock, TimePoint{} + next->next_fire);
-      continue;
-    }
-    TimerEntry fired = *next;
-    if (fired.record.one_shot) {
-      timers_.erase(next);
-    } else {
-      next->next_fire = now + std::chrono::microseconds(fired.record.period_us);
-    }
-    lock.unlock();
-
-    auto ctx = find_context(fired.tid);
-    if (ctx != nullptr && ctx->here() && !ctx->terminated()) {
-      EventNotice notice;
-      notice.event = fired.record.event;
-      notice.event_name = "TIMER";
-      notice.target_thread = fired.tid;
-      notice.raiser_node = self_;
-      notice.system_info = "timer";
-      ctx->enqueue(notice, /*urgent=*/false);
-      if (fired.record.one_shot) {
-        ctx->with_attributes([&](ThreadAttributes& a) {
-          std::erase_if(a.timers, [&](const TimerRecord& t) {
-            return t.event == fired.record.event;
-          });
-        });
-      }
-      bump(&AtomicStats::timer_events);
-    }
-    lock.lock();
   }
 }
 

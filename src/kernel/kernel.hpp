@@ -291,9 +291,8 @@ class Kernel {
   struct TimerEntry {
     ThreadId tid;
     TimerRecord record;
-    Duration next_fire{0};
-    // Wheel-mode only: the armed one-shot wheel timer for the next fire
-    // (re-armed by on_wheel_timer); 0 in the locked ablation.
+    // The armed one-shot wheel timer for the next fire (re-armed by
+    // on_wheel_timer).
     common::TimerId wheel_timer = 0;
   };
 
@@ -323,8 +322,7 @@ class Kernel {
   Result<NodeId> locate_path_follow(ThreadId tid);
   Result<NodeId> locate_multicast(ThreadId tid);
 
-  void timer_loop();
-  // Wheel-mode fire path: looks up the (tid, event) entry, delivers the
+  // Wheel fire path: looks up the (tid, event) entry, delivers the
   // TIMER notice, and re-arms unless one-shot.  Runs on the wheel's tick
   // thread, so it must not block.
   void on_wheel_timer(ThreadId tid, EventId event);
@@ -374,13 +372,10 @@ class Kernel {
   std::unordered_map<std::uint64_t, std::shared_ptr<CensusPending>> censuses_;
 
   mutable std::mutex timers_mu_;
-  std::condition_variable timers_cv_;
   std::vector<TimerEntry> timers_;  // registry; §6.2 recreation reads this
-  bool timers_shutdown_ = false;
-  std::thread timer_thread_;  // locked ablation: min-scan loop
-  // Lockfree mode: per-record one-shot wheel timers replace the scan loop —
-  // O(1) per arm/cancel.  Stopped (joined) first in the destructor.
-  std::unique_ptr<common::TimerWheel> timer_wheel_;
+  // The node executor's shared wheel: one one-shot timer per record, O(1)
+  // per arm/cancel.  The executor stops it before the kernel is destroyed.
+  common::TimerWheel& wheel_;
 
   LocationCache location_cache_;
 

@@ -591,8 +591,8 @@ void Network::note_transit(const Message& message) {
 }
 
 void Network::delivery_loop(NodeState& state) {
-  // Batched drain: a burst of queued messages costs one mailbox lock
-  // round-trip.  An empty batch means closed-and-drained.
+  // Batched drain: a burst of queued messages costs one chain exchange.
+  // An empty batch means closed-and-drained.
   while (true) {
     std::deque<Message> batch = state.mailbox.pop_all();
     if (batch.empty()) return;

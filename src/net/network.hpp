@@ -38,7 +38,6 @@
 #include "common/ids.hpp"
 #include "common/inline.hpp"
 #include "common/mpsc_queue.hpp"
-#include "common/queue.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "net/fault.hpp"
@@ -190,9 +189,7 @@ class Network final : public Transport {
  private:
   struct NodeState {
     MessageHandler handler;
-    // Backend picked by DOCT_QUEUE at registration: lock-free MPSC chain
-    // (default) or the mutex+condvar BlockingQueue ablation.
-    common::Mailbox<Message> mailbox;
+    common::Mailbox<Message> mailbox;  // drained by delivery_thread
     std::thread delivery_thread;
   };
 

@@ -418,9 +418,14 @@ Status SocketTransport::unregister_node(NodeId node) {
   if (node != config_.self) {
     return {StatusCode::kNoSuchNode, node.to_string()};
   }
-  std::lock_guard<std::mutex> lock(handler_mu_);
-  node_registered_ = false;
-  handler_ = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(handler_mu_);
+    node_registered_ = false;
+    handler_ = nullptr;
+  }
+  // Like the simulator's unregister: once this returns, no handler call is
+  // in flight, so the caller may tear the node down.
+  std::lock_guard<std::mutex> drain(delivery_mu_);
   return Status::ok();
 }
 
@@ -829,6 +834,7 @@ void SocketTransport::delivery_loop() {
   while (true) {
     std::deque<Message> batch = inbound_.pop_all();
     if (batch.empty()) return;
+    std::lock_guard<std::mutex> running(delivery_mu_);
     MessageHandler handler;
     {
       std::lock_guard<std::mutex> lock(handler_mu_);

@@ -12,10 +12,10 @@
 // Threads owned by one instance:
 //   * per-peer writer   dials with exponential backoff, sends HELLO (version
 //                       window + node id + multicast-group snapshot), then
-//                       drains a bounded outbox mailbox (lock-free MPSC by
-//                       default, DOCT_QUEUE=locked ablation) with gathered
-//                       {header, payload} writes — a broadcast's legs all
-//                       reference the one SharedPayload buffer.  Frames a
+//                       drains a bounded lock-free MPSC outbox mailbox
+//                       with gathered {header, payload} writes — a
+//                       broadcast's legs all reference the one SharedPayload
+//                       buffer.  Frames a
 //                       write error left undelivered stay in the writer's
 //                       local staging deque, so the next connection retries
 //                       them in order before touching the outbox again.
@@ -54,7 +54,6 @@
 #include "common/ids.hpp"
 #include "common/inline.hpp"
 #include "common/mpsc_queue.hpp"
-#include "common/queue.hpp"
 #include "common/result.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
@@ -208,6 +207,9 @@ class SocketTransport final : public Transport {
   mutable std::mutex handler_mu_;
   MessageHandler handler_;
   bool node_registered_ = false;
+  // Held by the delivery thread while it runs a batch; unregister_node takes
+  // it to wait out a batch still calling the old handler.
+  std::mutex delivery_mu_;
 
   common::Mailbox<Message> inbound_;
   std::thread delivery_;

@@ -56,18 +56,12 @@ RpcEndpoint::RpcEndpoint(net::Transport& network, net::Demux& demux, NodeId self
                                 "node" + std::to_string(self.value()) +
                                     ".exec")),
       executor_(executor ? executor : owned_executor_.get()),
-      retry_rng_(config.retry_seed ^ self.value()) {
+      retry_rng_(config.retry_seed ^ self.value()),
+      wheel_(executor_->timers()) {
   demux.route(net::kRpcRequest,
               [this](const net::Message& m) { on_request(m); });
   demux.route(net::kRpcResponse,
               [this](const net::Message& m) { on_response(m); });
-  if (common::queue_backend() == common::QueueBackend::kLockfree) {
-    // Per-call wheel timers: schedule/cancel are O(1) and a response never
-    // wakes (or rescans) anything.
-    wheel_ = std::make_unique<common::TimerWheel>();
-  } else {
-    retry_thread_ = std::thread([this] { retry_loop(); });
-  }
   call_us_ = &obs::metrics().histogram("rpc.call_us");
   metrics_source_ = obs::metrics().register_source(
       "node" + std::to_string(self.value()) + ".rpc", [this] {
@@ -86,18 +80,10 @@ RpcEndpoint::RpcEndpoint(net::Transport& network, net::Demux& demux, NodeId self
 void RpcEndpoint::drain_workers() { executor_->shutdown(); }
 
 RpcEndpoint::~RpcEndpoint() {
-  // Join the wheel's tick thread first: after stop() no retry callback can
-  // be touching pending_ / network_ while they are torn down below.
-  if (wheel_) wheel_->stop();
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    retry_shutdown_ = true;
-  }
-  retry_cv_.notify_all();
-  if (retry_thread_.joinable()) retry_thread_.join();
   // An owned executor is drained here, while the endpoint is still intact;
   // a shared one must already have been shut down by its owner (NodeRuntime
-  // does so in its destructor body).
+  // does so in its destructor body).  Either way its wheel is stopped after
+  // this line, so no retry callback touches pending_ / network_ below.
   if (owned_executor_) owned_executor_->shutdown();
   // Fail any still-pending calls so blocked callers wake up.
   std::unordered_map<CallId, PendingRecord> pending;
@@ -185,7 +171,6 @@ CallId RpcEndpoint::send_request(NodeId target, const std::string& method,
     record.deadline = now + timeout;
     record.backoff = config_.retry_base_delay;
     record.trace = trace;
-    bool wake_retry = false;
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
       if (config_.max_retries > 0) {
@@ -195,19 +180,10 @@ CallId RpcEndpoint::send_request(NodeId target, const std::string& method,
         record.next_resend = Duration::max();
       }
       const Duration wake = std::min(record.deadline, record.next_resend);
-      if (wheel_) {
-        record.timer = wheel_->schedule(
-            wake - now, [this, call] { on_retry_timer(call); });
-      } else if (wake < retry_next_wake_) {
-        // Only a registration due EARLIER than the retry thread's current
-        // wakeup needs a notify; everything else is covered by the rescan
-        // that wakeup performs anyway.
-        retry_next_wake_ = wake;
-        wake_retry = true;
-      }
+      record.timer =
+          wheel_.schedule(wake - now, [this, call] { on_retry_timer(call); });
       pending_.emplace(call, std::move(record));
     }
-    if (wake_retry) retry_cv_.notify_one();  // one retry thread, one waiter
   }
   const Status sent = network_.send(net::Message{
       .from = self_,
@@ -227,74 +203,13 @@ CallId RpcEndpoint::send_request(NodeId target, const std::string& method,
       auto it = pending_.find(call);
       if (it != pending_.end()) {
         failed = it->second.state;
-        if (wheel_ && it->second.timer != 0) wheel_->cancel(it->second.timer);
+        wheel_.cancel(it->second.timer);
         pending_.erase(it);
       }
     }
     if (failed) fulfill(*failed, sent);
   }
   return call;
-}
-
-void RpcEndpoint::retry_loop() {
-  std::unique_lock<std::mutex> lock(pending_mu_);
-  while (!retry_shutdown_) {
-    const Duration now = clock_.now();
-    Duration next = Duration::max();
-    std::vector<std::shared_ptr<PendingCall::State>> expired;
-    std::vector<net::Message> resend;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      PendingRecord& record = it->second;
-      if (now >= record.deadline) {
-        expired.push_back(record.state);
-        it = pending_.erase(it);
-        continue;
-      }
-      if (record.next_resend != Duration::max() && now >= record.next_resend) {
-        if (record.attempts < 1 + config_.max_retries) {
-          resend.push_back(net::Message{
-              .from = self_,
-              .to = record.target,
-              .kind = net::kRpcRequest,
-              .call = it->first,
-              .payload = record.request,
-              .trace_id = record.trace.trace_id,
-              .span_id = record.trace.span_id,
-          });
-          record.attempts++;
-          record.backoff = std::min(record.backoff * 2, config_.retry_max_delay);
-          record.next_resend = now + jittered(record.backoff);
-        } else {
-          record.next_resend = Duration::max();  // out of retries: wait it out
-        }
-      }
-      next = std::min(next, std::min(record.deadline, record.next_resend));
-      ++it;
-    }
-    if (!expired.empty() || !resend.empty()) {
-      lock.unlock();
-      for (auto& state : expired) {
-        fulfill(*state, Status{StatusCode::kTimeout, "rpc deadline exceeded"});
-        bump(&AtomicStats::deadline_timeouts);
-      }
-      for (auto& message : resend) {
-        // Failures here (node unregistered mid-flight) are deliberately
-        // ignored: the deadline converts them into a definite timeout.
-        network_.send(std::move(message));
-        bump(&AtomicStats::retries_sent);
-      }
-      lock.lock();
-      continue;  // re-derive `next` after the unlocked window
-    }
-    if (retry_shutdown_) break;
-    // Publish the wake target so registrations due later skip the notify.
-    retry_next_wake_ = next;
-    if (next == Duration::max()) {
-      retry_cv_.wait(lock);
-    } else {
-      retry_cv_.wait_until(lock, TimePoint{} + next);
-    }
-  }
 }
 
 void RpcEndpoint::on_retry_timer(CallId call) {
@@ -333,7 +248,7 @@ void RpcEndpoint::on_retry_timer(CallId call) {
       }
       const Duration wake = std::min(record.deadline, record.next_resend);
       record.timer =
-          wheel_->schedule(wake - now, [this, call] { on_retry_timer(call); });
+          wheel_.schedule(wake - now, [this, call] { on_retry_timer(call); });
     }
   }
   if (expired) {
@@ -367,7 +282,7 @@ Result<Payload> RpcEndpoint::call(NodeId target, const std::string& method,
   if (!result.is_ok() && result.status().code() == StatusCode::kTimeout) {
     // Forget the correlation entry; a late response is dropped harmlessly.
     // If the record is still pending, the claimer's clock beat the retry
-    // thread to the shared deadline — account the timeout here so the
+    // timer to the shared deadline — account the timeout here so the
     // counter does not depend on which side wakes first.
     bool was_pending = false;
     {
@@ -375,7 +290,7 @@ Result<Payload> RpcEndpoint::call(NodeId target, const std::string& method,
       auto it = pending_.find(id);
       if (it != pending_.end()) {
         was_pending = true;
-        if (wheel_ && it->second.timer != 0) wheel_->cancel(it->second.timer);
+        wheel_.cancel(it->second.timer);
         pending_.erase(it);
       }
     }
@@ -605,7 +520,7 @@ void RpcEndpoint::handle_response(const net::Message& message) {
     // raced the original response) find no record and are dropped.
     if (it == pending_.end()) return;
     state = it->second.state;
-    if (wheel_ && it->second.timer != 0) wheel_->cancel(it->second.timer);
+    wheel_.cancel(it->second.timer);
     pending_.erase(it);
   }
   try {

@@ -50,7 +50,6 @@
 #include "common/id_gen.hpp"
 #include "common/ids.hpp"
 #include "common/inline.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -187,11 +186,10 @@ class RpcEndpoint {
     Duration backoff;       // current backoff step
     int attempts = 1;       // transmissions performed so far
     // Trace context of the originating call, kept so retransmissions (sent
-    // from the retry thread, which has no ambient context) carry the same
-    // causal identity as the first transmission.
+    // from the wheel's tick thread, which has no ambient context) carry the
+    // same causal identity as the first transmission.
     obs::TraceContext trace;
-    // Timer-wheel id for this call's next deadline/resend (lockfree mode
-    // only; 0 in the locked ablation, which scans from the retry thread).
+    // Timer-wheel id for this call's next deadline/resend.
     common::TimerId timer = 0;
   };
 
@@ -217,7 +215,6 @@ class RpcEndpoint {
                       std::shared_ptr<PendingCall::State> state,
                       Duration timeout);
   static void fulfill(PendingCall::State& state, Result<Payload> result);
-  void retry_loop();
   // Timer-wheel callback for one pending call: fires at min(next_resend,
   // deadline), retransmits or times the call out, and re-arms itself.
   void on_retry_timer(CallId call);
@@ -260,28 +257,17 @@ class RpcEndpoint {
 
   std::mutex pending_mu_;
   std::unordered_map<CallId, PendingRecord> pending_;
-  std::condition_variable retry_cv_;
-  bool retry_shutdown_ = false;
-  // The absolute time the retry thread is currently sleeping toward (locked
-  // mode; guarded by pending_mu_).  A registration notifies only when its
-  // deadline is EARLIER — registrations due later than the current wakeup
-  // would be picked up by that wakeup's rescan anyway, so notifying them all
-  // was pure thundering-herd overhead.
-  Duration retry_next_wake_ = Duration::max();
   SplitMix64 retry_rng_;  // guarded by pending_mu_
 
-  // Lockfree mode: per-call one-shot wheel timers replace the retry thread's
-  // scan-all-deadlines loop — O(1) per schedule/cancel, no scan, no notify.
-  // Stopped (joined) first in the destructor, before pending_ is torn down.
-  std::unique_ptr<common::TimerWheel> wheel_;
+  // The executor's shared wheel: one one-shot timer per pending call, O(1)
+  // per schedule/cancel, no scan, no notify.
+  common::TimerWheel& wheel_;
 
   std::mutex dedup_mu_;
   std::map<DedupKey, DedupEntry> dedup_;
   std::deque<std::pair<Duration, DedupKey>> dedup_order_;  // completion order
 
   AtomicStats stats_;
-
-  std::thread retry_thread_;
 
   // Resolved once at construction; call() records client-observed latency.
   obs::Histogram* call_us_ = nullptr;

@@ -98,13 +98,14 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId node_id,
 }
 
 NodeRuntime::~NodeRuntime() {
-  // Stop the detector before tearing anything down: its beat thread raises
+  // Stop the detector before tearing anything down: its heartbeat raises
   // events and touches the kernel.  Then stop inbound traffic so nothing new
   // is queued, and drain the node executor so no in-flight method or queued
   // handler is still touching the kernel or the object manager when they
-  // destruct.  Members are then destroyed in reverse declaration order
-  // (events -> store -> objects -> kernel -> dsm -> rpc -> demux ->
-  // executor).
+  // destruct; the drain ends by stopping the node's timer wheel, so no
+  // kernel or RPC timer fires past this point either.  Members are then
+  // destroyed in reverse declaration order (events -> store -> objects ->
+  // kernel -> dsm -> rpc -> demux -> executor).
   if (health_) health_->stop();
   network_.unregister_node(id);
   kernel.terminate_all_local();  // unwind adopted bodies on executor workers

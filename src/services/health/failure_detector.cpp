@@ -27,38 +27,28 @@ FailureDetector::FailureDetector(net::Transport& network, net::Demux& demux,
 FailureDetector::~FailureDetector() { stop(); }
 
 void FailureDetector::start() {
-  bool beat_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (running_ || shutdown_) return;
     running_ = true;
-    if (common::queue_backend() == common::QueueBackend::kLockfree) {
-      wheel_ = std::make_unique<common::TimerWheel>();
-      wheel_->schedule_periodic(config_.heartbeat_interval,
-                                [this] { beat_once(); });
-      beat_now = true;  // the periodic's first fire is one interval out
-    } else {
-      beat_thread_ = std::thread([this] { beat_loop(); });
-    }
+    beat_timer_ = events_.executor().timers().schedule_periodic(
+        config_.heartbeat_interval, [this] { beat_once(); });
   }
-  // Match the beat thread's beat-on-start (outside mu_: beat_once locks it).
-  if (beat_now) beat_once();
+  // The periodic's first fire is one interval out: beat on start too
+  // (outside mu_: beat_once locks it).
+  beat_once();
 }
 
 void FailureDetector::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) {
-      shutdown_ = true;  // a later start() stays a no-op
-      return;
-    }
-    shutdown_ = true;
+    shutdown_ = true;  // a later start() stays a no-op
+    if (!running_) return;
+    running_ = false;
   }
-  if (wheel_) wheel_->stop();  // joins the tick thread; no fires after this
-  beat_cv_.notify_all();
-  if (beat_thread_.joinable()) beat_thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  running_ = false;
+  events_.executor().timers().cancel(beat_timer_);
+  // A beat already past its shutdown_ check finishes before this returns.
+  std::lock_guard<std::mutex> beat(beat_mu_);
 }
 
 void FailureDetector::subscribe(ObjectId object) {
@@ -93,7 +83,7 @@ FailureDetectorStats FailureDetector::stats() const {
 
 void FailureDetector::on_heartbeat(const net::Message& message) {
   // Network delivery thread: record only; transitions are detected (and
-  // events raised) on the beat thread so this path never blocks.
+  // events raised) by the next beat so this path never blocks.
   std::lock_guard<std::mutex> lock(mu_);
   last_heard_[message.from] = clock_.now();
   stats_.heartbeats_received++;
@@ -130,7 +120,7 @@ void FailureDetector::raise_transition(EventId event, NodeId peer) {
     }
     for (const auto& callback : callbacks) callback(peer);
   };
-  // try_submit: the beat thread must never park on a full lane.  Inline
+  // try_submit: the tick thread must never park on a full lane.  Inline
   // fallback keeps the edge-triggered delivery guarantee when the lane is
   // saturated or already shut down.
   if (!events_.executor().try_submit(exec::Lane::kControl, deliver).is_ok()) {
@@ -139,6 +129,11 @@ void FailureDetector::raise_transition(EventId event, NodeId peer) {
 }
 
 void FailureDetector::beat_once() {
+  std::lock_guard<std::mutex> beat(beat_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return;
+  }
   network_.broadcast(net::Message{
       .from = self_,
       .to = NodeId{},
@@ -170,18 +165,6 @@ void FailureDetector::beat_once() {
   }
   for (NodeId peer : came_back) {
     raise_transition(events::sys::kNodeUp, peer);
-  }
-}
-
-void FailureDetector::beat_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!shutdown_) {
-    lock.unlock();
-    beat_once();
-    lock.lock();
-    if (shutdown_) break;
-    beat_cv_.wait_for(lock, config_.heartbeat_interval,
-                      [&] { return shutdown_; });
   }
 }
 

@@ -18,22 +18,21 @@
 // offered for kernel-level reactions (census fast-path).
 //
 // Detection is edge-triggered: one NODE_DOWN per crash, one NODE_UP per
-// recovery.  The beat thread detects the edge; the raises and callbacks run
-// on the node executor's CONTROL lane (inline on the beat thread only if the
-// lane refuses), so failure reactions overtake any event/bulk backlog and a
-// slow subscriber can never delay the next heartbeat broadcast.
+// recovery.  The heartbeat is a periodic timer on the node executor's shared
+// wheel; each beat detects the edges, and the raises and callbacks run on
+// the executor's CONTROL lane (inline on the tick thread only if the lane
+// refuses), so failure reactions overtake any event/bulk backlog and a slow
+// subscriber can never delay the next heartbeat broadcast.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/timer_wheel.hpp"
 #include "events/event_system.hpp"
 #include "net/demux.hpp"
@@ -69,7 +68,9 @@ class FailureDetector {
   FailureDetector& operator=(const FailureDetector&) = delete;
 
   void start();  // idempotent
-  void stop();   // idempotent; joins the beat thread
+  // Idempotent.  Cancels the heartbeat timer and waits out a beat already
+  // running, so nothing is broadcast or raised once stop() returns.
+  void stop();
 
   // Registers a passive object for NODE_DOWN / NODE_UP delivery.  The object
   // must have define_handler("NODE_DOWN", ...) / ("NODE_UP", ...) entries;
@@ -86,10 +87,8 @@ class FailureDetector {
   [[nodiscard]] FailureDetectorStats stats() const;
 
  private:
-  void beat_loop();
-  // One heartbeat broadcast + edge detection pass.  The locked ablation's
-  // beat thread runs this on an interval; lockfree mode runs it as a
-  // periodic timer-wheel callback (no dedicated thread wakeup loop).
+  // One heartbeat broadcast + edge detection pass: the periodic wheel
+  // callback (and start()'s first beat).  A no-op once stop() has begun.
   void beat_once();
   void on_heartbeat(const net::Message& message);
   void raise_transition(EventId event, NodeId peer);
@@ -109,11 +108,10 @@ class FailureDetector {
   FailureDetectorStats stats_;
   bool running_ = false;
   bool shutdown_ = false;
-  std::condition_variable beat_cv_;
-  std::thread beat_thread_;  // locked ablation only
-  // Lockfree mode: the heartbeat rides a periodic wheel timer.  Stopped
-  // (joined) in stop() before the callback's state can go away.
-  std::unique_ptr<common::TimerWheel> wheel_;
+  // Held for a whole beat; stop() takes it after setting shutdown_ to wait
+  // out a beat in flight on the tick thread.
+  std::mutex beat_mu_;
+  common::TimerId beat_timer_ = 0;  // periodic heartbeat on the shared wheel
 
   // Last member: unregisters before the stats it reads are destroyed.
   obs::MetricsRegistry::SourceHandle metrics_source_;

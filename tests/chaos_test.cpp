@@ -32,9 +32,9 @@ using runtime::Cluster;
 using runtime::ClusterConfig;
 
 // Timing-sensitive exactly-once assertions are relaxed under sanitizers:
-// instrumentation can stall the detector's beat thread past any reasonable
-// suspicion threshold, which fakes (or swallows) a transition.  The fault
-// decisions themselves stay fully deterministic either way.
+// instrumentation can stall the detector's heartbeat timer past any
+// reasonable suspicion threshold, which fakes (or swallows) a transition.
+// The fault decisions themselves stay fully deterministic either way.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -81,15 +81,18 @@ TEST(Chaos, FullScenario) {
   // spurious suspicion, and far below the crash outage so the real crash is
   // always detected.
   config.node.health.suspect_after = 800ms;
+
+  // NODE_DOWN / NODE_UP accounting, per peer, as seen from n0.  Declared
+  // before the cluster: a late transition can still be delivered while the
+  // cluster tears down, so the maps must outlive it.
+  std::mutex transitions_mu;
+  std::map<NodeId, int> downs;
+  std::map<NodeId, int> ups;
+
   Cluster cluster(3, config);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
   auto& n2 = cluster.node(2);
-
-  // NODE_DOWN / NODE_UP accounting, per peer, as seen from n0.
-  std::mutex transitions_mu;
-  std::map<NodeId, int> downs;
-  std::map<NodeId, int> ups;
   n0.health()->on_node_down([&](NodeId peer) {
     std::lock_guard<std::mutex> lock(transitions_mu);
     downs[peer]++;

@@ -1,5 +1,4 @@
-// Unit tests for src/common: ids, Result/Status, serialization, queue, clock,
-// thread pool, rng.
+// Unit tests for src/common: ids, Result/Status, serialization, clock, rng.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,11 +8,9 @@
 #include "common/clock.hpp"
 #include "common/id_gen.hpp"
 #include "common/ids.hpp"
-#include "common/queue.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
-#include "common/thread_pool.hpp"
 
 namespace doct {
 namespace {
@@ -153,85 +150,6 @@ TEST(Serialize, TruncatedStringThrows) {
   w.put(std::uint32_t{100});  // claims 100 bytes, provides none
   Reader r(std::move(w).take());
   EXPECT_THROW((void)r.get_string(), DeserializeError);
-}
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BlockingQueue, PushFrontOvertakes) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push_front(99);
-  EXPECT_EQ(q.pop(), 99);
-  EXPECT_EQ(q.pop(), 1);
-}
-
-TEST(BlockingQueue, CloseWakesConsumer) {
-  BlockingQueue<int> q;
-  std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
-  q.close();
-  consumer.join();
-  EXPECT_FALSE(q.push(5));
-}
-
-TEST(BlockingQueue, CloseDrainsRemainingItems) {
-  BlockingQueue<int> q;
-  q.push(7);
-  q.close();
-  EXPECT_EQ(q.pop(), 7);  // closed but not empty: item still delivered
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BlockingQueue, ConcurrentProducersConsumers) {
-  BlockingQueue<int> q;
-  constexpr int kPerProducer = 1000;
-  constexpr int kProducers = 4;
-  std::atomic<int> sum{0};
-  std::atomic<int> count{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) q.push(i);
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum += *v;
-        count++;
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<size_t>(p)].join();
-  q.close();
-  for (int c = 0; c < 2; ++c) threads[static_cast<size_t>(kProducers + c)].join();
-  EXPECT_EQ(count.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(), kProducers * kPerProducer * (kPerProducer + 1) / 2);
-}
-
-TEST(ThreadPool, ExecutesAllTasks) {
-  std::atomic<int> n{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_TRUE(pool.submit([&] { n++; }));
-    }
-    pool.shutdown();
-  }
-  EXPECT_EQ(n.load(), 100);
-}
-
-TEST(ThreadPool, RejectsAfterShutdown) {
-  ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}));
 }
 
 TEST(SimClock, AdvancesManually) {

@@ -1,17 +1,19 @@
-// Unit tests for the per-node executor (src/exec) and the BlockingQueue
-// drain semantics it and the network mailboxes rely on: priority order
-// across lanes, per-lane overload policies (block / shed / coalesce), the
-// control reserve, the single-lane ablation, and drain-on-shutdown.
+// Unit tests for the per-node executor (src/exec) and the Mailbox drain
+// semantics it and the network mailboxes rely on: priority order across
+// lanes, per-lane overload policies (block / shed / coalesce), the control
+// reserve, the single-lane ablation, drain-on-shutdown, and the shared
+// timer wheel's place in shutdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/queue.hpp"
+#include "common/mpsc_queue.hpp"
 #include "exec/executor.hpp"
 
 namespace doct {
@@ -52,10 +54,12 @@ class Gate {
   bool open_ = false;
 };
 
-// --- BlockingQueue drain semantics ----------------------------------------
+// --- Mailbox drain semantics ---------------------------------------------
+// The executor intakes and the network mailboxes rely on these.  The suite
+// name predates Mailbox; it is kept so the test IDs stay stable.
 
 TEST(BlockingQueueDrain, PopAllTakesEverythingInOrder) {
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   for (int i = 0; i < 5; ++i) q.push(i);
   const std::deque<int> batch = q.pop_all();
   ASSERT_EQ(batch.size(), 5u);
@@ -66,7 +70,7 @@ TEST(BlockingQueueDrain, PopAllTakesEverythingInOrder) {
 TEST(BlockingQueueDrain, NothingLostAcrossClose) {
   // Items pushed before close() must all be drained; the empty batch is the
   // closed-and-drained signal consumers exit on.
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   constexpr int kItems = 1000;
   for (int i = 0; i < kItems; ++i) q.push(i);
   q.close();
@@ -82,7 +86,7 @@ TEST(BlockingQueueDrain, NothingLostAcrossClose) {
 }
 
 TEST(BlockingQueueDrain, PopAllWakesOnClose) {
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   std::thread consumer([&] { EXPECT_TRUE(q.pop_all().empty()); });
   std::this_thread::sleep_for(10ms);
   q.close();
@@ -90,7 +94,7 @@ TEST(BlockingQueueDrain, PopAllWakesOnClose) {
 }
 
 TEST(BlockingQueueDrain, PushBoundedRefusesWhenFull) {
-  using Q = BlockingQueue<int>;
+  using Q = common::Mailbox<int>;
   Q q;
   EXPECT_EQ(q.push_bounded(1, 2), Q::PushResult::kOk);
   EXPECT_EQ(q.push_bounded(2, 2), Q::PushResult::kOk);
@@ -347,6 +351,39 @@ TEST(ExecutorLanes, ShutdownDrainsQueuedWorkAndRefusesNew) {
             StatusCode::kAborted);
   EXPECT_EQ(ran.load(), 100);
   ex.shutdown();  // idempotent
+}
+
+// --- Shared timer wheel ----------------------------------------------------
+
+TEST(ExecutorTimers, WheelKeepsFiringUntilTheDrainEnds) {
+  // A queued task waits on a timer: shutdown() must drain the workers
+  // BEFORE stopping the wheel, or the task would wait out its deadline.
+  ExecutorConfig config;
+  config.workers = 2;
+  Executor ex(config, "test.timers");
+  std::mutex mu;
+  std::condition_variable cv;
+  bool fired = false;
+  bool saw_fire = false;
+  ASSERT_TRUE(ex.submit(Lane::kBulk, [&] {
+                  std::unique_lock<std::mutex> lock(mu);
+                  saw_fire = cv.wait_for(lock, 5s, [&] { return fired; });
+                }).is_ok());
+  ex.timers().schedule(20ms, [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      fired = true;
+    }
+    cv.notify_all();
+  });
+  ex.shutdown();
+  EXPECT_TRUE(saw_fire);
+
+  // After shutdown the wheel is stopped: nothing scheduled fires.
+  std::atomic<int> late{0};
+  ex.timers().schedule(0ms, [&] { late++; });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(late.load(), 0);
 }
 
 }  // namespace

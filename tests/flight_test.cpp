@@ -430,6 +430,11 @@ TEST(ObserverAttach, HelloCarriesReplyAddress) {
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
   Reader r(std::move(reply).value());
   EXPECT_EQ(r.get<std::uint64_t>(), 913u);
+
+  // The endpoints die before their transports: unregister first, which waits
+  // out a delivery batch still running, so no late frame reaches them.
+  EXPECT_TRUE(observer.unregister_node(NodeId{913}).is_ok());
+  EXPECT_TRUE(server.unregister_node(NodeId{1}).is_ok());
 }
 
 }  // namespace

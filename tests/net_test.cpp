@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.hpp"
+#include "common/mpsc_queue.hpp"
 #include "net/demux.hpp"
 #include "net/network.hpp"
 
@@ -25,7 +25,7 @@ Message make_message(NodeId from, NodeId to, std::uint16_t kind = 1,
 TEST(Network, DeliversPointToPoint) {
   Network net;
   const NodeId a{1}, b{2};
-  BlockingQueue<Message> inbox;
+  common::Mailbox<Message> inbox;
   ASSERT_TRUE(net.register_node(a, [](const Message&) {}).is_ok());
   ASSERT_TRUE(net.register_node(b, [&](const Message& m) { inbox.push(m); }).is_ok());
 

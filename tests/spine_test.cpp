@@ -1,5 +1,6 @@
 // Hot-path spine suite: the sharded network core, the zero-copy payload
-// fan-out, batched queue drains, and the kernel's thread-location cache.
+// fan-out, batched queue drains, the kernel's thread-location cache, and the
+// per-node thread budget.
 //
 // These tests pin the semantic edges of the perf work:
 //   * zero-latency traffic must bypass the wire thread entirely
@@ -8,17 +9,21 @@
 //     buffer, not copies;
 //   * a stale location hint must cost one failed delivery, never a wrong
 //     answer or a hang — migration re-locates transparently, a crashed
-//     hinted host degrades to the configured locator within RPC timeouts.
+//     hinted host degrades to the configured locator within RPC timeouts;
+//   * a node runs its executor's workers, one delivery thread and ONE timer
+//     wheel — no per-layer timing threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/queue.hpp"
+#include "common/mpsc_queue.hpp"
 #include "kernel/location_cache.hpp"
 #include "net/network.hpp"
 #include "runtime/runtime.hpp"
@@ -33,10 +38,10 @@ using net::NetworkConfig;
 using runtime::Cluster;
 using runtime::ClusterConfig;
 
-// --- BlockingQueue::pop_all ----------------------------------------------------
+// --- Mailbox::pop_all ----------------------------------------------------------
 
 TEST(SpineQueue, PopAllDrainsEverythingInOrder) {
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
   const auto batch = q.pop_all();
   ASSERT_EQ(batch.size(), 5u);
@@ -44,7 +49,7 @@ TEST(SpineQueue, PopAllDrainsEverythingInOrder) {
 }
 
 TEST(SpineQueue, PopAllReturnsResidueThenEmptyAfterClose) {
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   ASSERT_TRUE(q.push(7));
   ASSERT_TRUE(q.push(8));
   q.close();
@@ -56,7 +61,7 @@ TEST(SpineQueue, PopAllReturnsResidueThenEmptyAfterClose) {
 }
 
 TEST(SpineQueue, PopAllWakesOnPush) {
-  BlockingQueue<int> q;
+  common::Mailbox<int> q;
   std::atomic<int> got{0};
   std::thread consumer([&] {
     const auto batch = q.pop_all();
@@ -400,6 +405,40 @@ TEST(SpineKernel, CacheAblationViaConfig) {
   EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u);
   EXPECT_EQ(n0.kernel.stats().cached_deliveries, 0u);
   ASSERT_TRUE(n1.kernel.join_thread(parked, 15s).is_ok());
+}
+
+// --- per-node thread budget ----------------------------------------------------
+
+// OS threads in this process ("Threads:" in /proc/self/status).
+int os_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(SpineThreads, EachNodeRunsOneTimerWheel) {
+  // The kernel's TIMER records, RPC retry/deadline timers and the heartbeat
+  // all ride the executor's one wheel, so a node with health on costs its
+  // workers + one network delivery thread + one wheel tick thread.  The
+  // per-node figure is how much more a 3-node cluster adds than a 2-node
+  // one: per-cluster threads (the network wire thread) cancel out, and the
+  // 1-node cluster up front absorbs one-time process threads (a sanitizer
+  // runtime starts its background thread with the first thread created).
+  ClusterConfig config;
+  config.node.health.enabled = true;
+  Cluster one(1, config);
+  const int with_one = os_threads();
+  ASSERT_GT(with_one, 0);
+  Cluster two(2, config);
+  const int with_two = os_threads();
+  Cluster three(3, config);
+  const int with_three = os_threads();
+  const int per_node = (with_three - with_two) - (with_two - with_one);
+  EXPECT_EQ(per_node,
+            static_cast<int>(one.node(0).executor.workers()) + 2);
 }
 
 }  // namespace
