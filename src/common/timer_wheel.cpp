@@ -86,7 +86,7 @@ TimerId TimerWheel::arm_locked(std::uint64_t delay_ticks,
   return id;
 }
 
-void TimerWheel::file_locked(const Timer& timer) {
+void TimerWheel::file_locked(Timer& timer) {
   const std::uint64_t delta = timer.expiry_tick - current_tick_;
   std::uint64_t filed = timer.expiry_tick;
   std::size_t level = 0;
@@ -105,13 +105,27 @@ void TimerWheel::file_locked(const Timer& timer) {
   const std::size_t slot =
       static_cast<std::size_t>((filed >> (level * kSlotBits)) &
                                (kSlots - 1));
-  slots_[level][slot].push_back(timer.id);
+  timer.slot = &slots_[level][slot];
+  timer.pos = timer.slot->size();
+  timer.slot->push_back(timer.id);
+}
+
+void TimerWheel::unfile_locked(Timer& timer) {
+  if (timer.slot == nullptr) return;
+  std::vector<TimerId>& ids = *timer.slot;
+  const TimerId moved = ids.back();
+  ids[timer.pos] = moved;
+  ids.pop_back();
+  if (moved != timer.id) timers_.find(moved)->second.pos = timer.pos;
+  timer.slot = nullptr;
 }
 
 bool TimerWheel::cancel(TimerId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  // The slot entry is left to lazily expire; liveness is the map entry.
-  if (timers_.erase(id) == 0) return false;
+  auto it = timers_.find(id);
+  if (it == timers_.end()) return false;
+  unfile_locked(it->second);
+  timers_.erase(it);
   ++stats_.cancelled;
   return true;
 }
@@ -120,10 +134,14 @@ void TimerWheel::collect_slot_locked(std::size_t level, std::size_t slot,
                                      std::vector<Due>& due) {
   std::vector<TimerId>& ids = slots_[level][slot];
   if (ids.empty()) return;
-  for (const TimerId id : ids) {
-    auto it = timers_.find(id);
-    if (it == timers_.end()) continue;  // cancelled: lazily dropped here
+  // Every entry leaves this slot: copy the ids out and clear it, so a
+  // re-file below never lands on a position this loop still reads.
+  collecting_.assign(ids.begin(), ids.end());
+  ids.clear();
+  for (const TimerId id : collecting_) {
+    auto it = timers_.find(id);  // always live: cancel unfiles eagerly
     Timer& timer = it->second;
+    timer.slot = nullptr;
     if (timer.expiry_tick > current_tick_) {
       // Not due yet (a cascaded or clamped far timer): re-file closer in.
       ++stats_.cascaded;
@@ -138,7 +156,6 @@ void TimerWheel::collect_slot_locked(std::size_t level, std::size_t slot,
       timers_.erase(it);
     }
   }
-  ids.clear();
 }
 
 void TimerWheel::advance_locked(std::vector<Due>& due) {
@@ -241,7 +258,13 @@ void TimerWheel::stop() {
 
 TimerWheel::Stats TimerWheel::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats out = stats_;
+  for (const auto& level : slots_) {
+    for (const std::vector<TimerId>& ids : level) {
+      out.slot_entries += ids.size();
+    }
+  }
+  return out;
 }
 
 std::size_t TimerWheel::pending() const {

@@ -14,6 +14,11 @@
 // no 1kHz heartbeat when nothing is scheduled) and catches up tick-by-tick
 // after a long sleep, cascading higher levels at their boundaries.
 //
+// cancel() removes the timer's slot entry eagerly (swap-remove at the
+// position the timer remembers), so slot memory tracks live timers only: an
+// RPC deadline armed and cancelled per call leaves nothing behind, however
+// far out its slot lies.
+//
 // Concurrency contract: schedule/schedule_periodic/cancel are thread-safe
 // and O(1) under an internal mutex (never held while callbacks run).
 // Callbacks fire on the wheel's single tick thread, OUTSIDE the wheel lock —
@@ -49,6 +54,9 @@ class TimerWheel {
     std::uint64_t fired = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t cascaded = 0;  // timers re-filed at a level boundary
+    // Live slot entries right now: equals pending() except while the tick
+    // loop holds due periodics across their callbacks.
+    std::uint64_t slot_entries = 0;
   };
 
   explicit TimerWheel(Duration tick = std::chrono::milliseconds(1));
@@ -89,6 +97,10 @@ class TimerWheel {
     std::uint64_t period_ticks = 0;  // 0 = one-shot
     // shared_ptr so a periodic fire copies a refcount, not the callable.
     std::shared_ptr<const std::function<void()>> fn;
+    // Where the timer's id sits: (*slot)[pos].  Null while the tick loop
+    // holds it (collected, its callback pending or running).
+    std::vector<TimerId>* slot = nullptr;
+    std::size_t pos = 0;
   };
 
   struct Due {
@@ -103,7 +115,9 @@ class TimerWheel {
   TimerId arm_locked(std::uint64_t delay_ticks, std::uint64_t period_ticks,
                      std::function<void()> fn);
   // Files a live timer into the slot matching its remaining delta.
-  void file_locked(const Timer& timer);
+  void file_locked(Timer& timer);
+  // Swap-removes a filed timer's slot entry, fixing the moved entry's pos.
+  void unfile_locked(Timer& timer);
   // Advances one tick, collecting every due timer (cascades at boundaries).
   void advance_locked(std::vector<Due>& due);
   void collect_slot_locked(std::size_t level, std::size_t slot,
@@ -119,6 +133,9 @@ class TimerWheel {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<TimerId> slots_[kLevels][kSlots];
+  // The slot being collected, copied out so it can be re-filed into.  Kept
+  // across ticks (as are the slots' own buffers): no tick allocates.
+  std::vector<TimerId> collecting_;
   std::unordered_map<TimerId, Timer> timers_;  // live (not yet fired/cancelled)
   std::uint64_t current_tick_ = 0;
   std::uint64_t sleep_target_ = 0;  // tick the thread currently sleeps toward

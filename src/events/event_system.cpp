@@ -588,14 +588,13 @@ void EventSystem::send_resume(const kernel::EventNotice& notice,
   Writer w;
   w.put(notice.wait_token);
   w.put(verdict);
-  const auto sent = rpc_.call(notice.raiser_node, kKernelResumeMethod,
-                              std::move(w).take());
-  if (!sent.is_ok() &&
-      sent.status().code() != StatusCode::kAlreadyExists) {
-    DOCT_LOG(kWarn) << "resume of raiser at "
-                    << notice.raiser_node.to_string()
-                    << " failed: " << sent.status().to_string();
-  }
+  // Sent without waiting for the ack, so this worker (the §7 master handler
+  // thread, for object events) is free the moment the handler returns.  The
+  // dropped ticket keeps its pending record, which retransmits when retries
+  // are on; resume_waiter answers a duplicate with kAlreadyExists, and the
+  // raiser's sync_timeout backstops a resume that never arrives.
+  (void)rpc_.call_async(notice.raiser_node, kKernelResumeMethod,
+                        std::move(w).take());
 }
 
 // --- object-based delivery (§4.3) ------------------------------------------------

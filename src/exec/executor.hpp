@@ -8,7 +8,9 @@
 // starve TERMINATE/NODE_DOWN control traffic and grow memory without bound.
 // This executor is the one well-defined substrate per node:
 //
-//   kControl  TERMINATE/NODE_DOWN/heartbeat reactions, RPC replies, census.
+//   kControl  TERMINATE/NODE_DOWN/heartbeat reactions, census.  (RPC
+//             replies never queue here: the delivery thread fulfils them
+//             inline, since fulfilment cannot block.)
 //             Serviced first, always; `control_reserve` workers never touch
 //             lower lanes, so control work makes progress even when every
 //             general worker is parked inside a blocking method.
@@ -126,8 +128,8 @@ struct LaneConfig {
   // Max tasks one worker grabs per lock round-trip.  A batch runs to
   // completion on ONE worker, so batching above 1 is only safe for lanes
   // whose tasks never block: a parked task would strand the rest of its
-  // batch while other workers sit idle.  Control work (response
-  // fulfillment, census replies) is non-blocking by contract and batches;
+  // batch while other workers sit idle.  Control work (census replies,
+  // waiter skips) is non-blocking by contract and batches;
   // event/bulk lanes carry potentially-blocking handler and method bodies
   // and default to 1.
   std::size_t batch = 1;

@@ -676,6 +676,10 @@ Result<Verdict> Kernel::await_resume(std::uint64_t wait_token,
   ThreadContext* ctx = current();
   Status status = Status::ok();
   if (ctx != nullptr) {
+    {
+      std::lock_guard<std::mutex> lock(waiter->mu);
+      waiter->ctx = ctx->shared_from_this();
+    }
     // Block as a logical thread: remain responsive to incoming events
     // (a synchronously-blocked raiser can still be TERMINATEd).
     status = wait_until(*ctx,
@@ -719,18 +723,27 @@ Status Kernel::resume_waiter(std::uint64_t wait_token, Verdict verdict) {
     }
     waiter = it->second;
   }
+  std::shared_ptr<ThreadContext> ctx;
   {
     std::lock_guard<std::mutex> lock(waiter->mu);
     if (waiter->verdict.has_value()) {
       return {StatusCode::kAlreadyExists, "already resumed"};
     }
     waiter->verdict = verdict;
+    ctx = waiter->ctx;
   }
-  waiter->cv.notify_all();
-  // A raiser blocked as a logical thread waits on its context cv; nudge all
-  // local contexts cheaply via their own condition variables.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [tid, ctx] : contexts_) ctx->notify();
+  if (ctx == nullptr) {
+    waiter->cv.notify_all();
+    return Status::ok();
+  }
+  // Wake only the waiting thread.  It checks the verdict under its context
+  // lock and releases that lock only by waiting, so taking the lock here
+  // orders this notify after either its check (it then sees the verdict)
+  // or its wait (the notify reaches it): no lost wakeup.
+  {
+    std::lock_guard<std::mutex> lock(ctx->mu());
+  }
+  ctx->notify();
   return Status::ok();
 }
 

@@ -284,8 +284,11 @@ class Kernel {
 
   struct Waiter {
     std::mutex mu;
-    std::condition_variable cv;
+    std::condition_variable cv;  // a non-logical caller waits here
     std::optional<Verdict> verdict;
+    // The logical thread blocked on this token, which waits on its own
+    // context cv instead; the resumer wakes exactly this one.
+    std::shared_ptr<ThreadContext> ctx;
   };
 
   struct TimerEntry {

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -27,7 +28,10 @@
 
 namespace doct::kernel {
 
-class ThreadContext {
+// Always owned by a shared_ptr: a raiser blocked in await_resume hands
+// shared_from_this() to its waiter, so the resumer can wake it even after
+// the context leaves the kernel's table.
+class ThreadContext : public std::enable_shared_from_this<ThreadContext> {
  public:
   ThreadContext(ThreadId tid, NodeId node) : tid_(tid), node_(node) {}
 

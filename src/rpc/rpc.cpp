@@ -256,10 +256,12 @@ void RpcEndpoint::on_retry_timer(CallId call) {
     bump(&AtomicStats::deadline_timeouts);
   }
   if (resend) {
+    // Counted first: a zero-latency send can wake the caller before send()
+    // returns, and the count must already show the retransmission then.
+    bump(&AtomicStats::retries_sent);
     // Failures here (node unregistered mid-flight) are deliberately ignored:
     // the deadline converts them into a definite timeout.
     network_.send(std::move(*resend));
-    bump(&AtomicStats::retries_sent);
   }
 }
 
@@ -374,7 +376,9 @@ void RpcEndpoint::on_request(const net::Message& message) {
     execute_request(message);
     return;
   }
-  // try_submit: the delivery thread must never park on a full lane.
+  // try_submit: the delivery thread must never park on a full lane.  The
+  // method body may block (nested RPCs, waits), so unlike kFast methods and
+  // reply fulfilment it cannot run inline here.
   const Status accepted = executor_->try_submit(
       lane, [this, message] { execute_request(message); });
   if (!accepted.is_ok()) {
@@ -502,16 +506,9 @@ void RpcEndpoint::execute_request(const net::Message& message) {
 }
 
 void RpcEndpoint::on_response(const net::Message& message) {
-  // Reply correlation is control work: it unblocks a parked caller, so it
-  // must overtake queued event/bulk backlog.  Fulfillment never blocks, so
-  // running inline on the delivery thread is a safe fallback when the
-  // control lane refuses (full or shut down).
-  const Status queued = executor_->try_submit(
-      exec::Lane::kControl, [this, message] { handle_response(message); });
-  if (!queued.is_ok()) handle_response(message);
-}
-
-void RpcEndpoint::handle_response(const net::Message& message) {
+  // Runs inline on the delivery thread: fulfilment is a map erase, a wheel
+  // cancel and a cv notify, and never blocks, so handing it to a lane would
+  // only add a thread handoff to every round trip.
   std::shared_ptr<PendingCall::State> state;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);

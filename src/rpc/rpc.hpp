@@ -15,11 +15,13 @@
 // Server methods run on the node executor (exec::Executor), never on the
 // network delivery thread, so nested and re-entrant calls (A→B→A) cannot
 // deadlock the transport.  Each registered method names the lane it runs on
-// (blocking bodies default to kBulk); responses are correlated on kControl so
-// replies overtake queued bulk work.  When the executor refuses admission
-// (lane full), the request is SHED: the in-progress dedup marker is forgotten
-// so a retransmission can re-execute later, and a non-oneway caller gets an
-// error response immediately instead of waiting out its deadline.
+// (blocking bodies default to kBulk).  Replies are fulfilled inline on the
+// delivery thread: fulfilment never blocks, so it needs no lane, never
+// queues behind a backlog and costs no thread handoff.  When the executor
+// refuses admission (lane full), the request is SHED: the in-progress dedup
+// marker is forgotten so a retransmission can re-execute later, and a
+// non-oneway caller gets an error response immediately instead of waiting
+// out its deadline.
 //
 // Resilience (fault-injection PR): claimable calls are retried with
 // exponential backoff + seeded jitter until the overall deadline.  The
@@ -203,10 +205,8 @@ class RpcEndpoint {
   using DedupKey = std::pair<std::uint64_t, std::uint64_t>;  // (caller, call)
 
   void on_request(const net::Message& message);
+  // Correlates + fulfills a response, inline on the delivery thread.
   void on_response(const net::Message& message);
-  // Correlates + fulfills a response; runs on the control lane (fallback:
-  // inline on the delivery thread when the lane refuses).
-  void handle_response(const net::Message& message);
   // Executor refused the request: forget the in-progress dedup marker so a
   // retransmission can re-execute, and answer non-oneway callers with `why`
   // so their pending call fails fast instead of timing out.

@@ -120,7 +120,9 @@ void FailureDetector::raise_transition(EventId event, NodeId peer) {
     }
     for (const auto& callback : callbacks) callback(peer);
   };
-  // try_submit: the tick thread must never park on a full lane.  Inline
+  // Stays on a lane: raise() at a subscriber hosted on another node blocks
+  // in an RPC, which the wheel's tick thread must never do.  try_submit:
+  // the tick thread must never park on a full lane either.  Inline
   // fallback keeps the edge-triggered delivery guarantee when the lane is
   // saturated or already shut down.
   if (!events_.executor().try_submit(exec::Lane::kControl, deliver).is_ok()) {

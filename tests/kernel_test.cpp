@@ -2,9 +2,12 @@
 // interruptible waits, timers, tombstones, wait tokens.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <vector>
 
 #include "runtime/runtime.hpp"
 
@@ -346,6 +349,74 @@ TEST(KernelWaiters, DoubleResumeRejected) {
   auto verdict = k.await_resume(token, 5s);
   ASSERT_TRUE(verdict.is_ok());
   EXPECT_EQ(verdict.value(), Verdict::kTerminate);
+}
+
+// A resume wakes the one thread waiting on its token.  Bystanders parked in
+// wait_until on their own predicate see only their 5ms wait slices, not a
+// wakeup per resume.
+TEST(KernelResume, WakesOnlyTheWaiter) {
+  Cluster cluster(1);
+  auto& n0 = cluster.node(0);
+  auto& k = n0.kernel;
+  auto obj = std::make_shared<objects::PassiveObject>("resume_target");
+  obj->define_entry(
+      "on_ping",
+      [](objects::CallCtx&) -> Result<objects::Payload> {
+        return objects::Payload{static_cast<std::uint8_t>(Verdict::kResume)};
+      },
+      objects::Visibility::kPrivate);
+  obj->define_handler("RESUME_PING", "on_ping");
+  const ObjectId oid = n0.objects.add_object(obj);
+  const EventId ping = cluster.registry().register_event("RESUME_PING");
+
+  constexpr int kBystanders = 32;
+  constexpr int kRoundTrips = 1000;
+  constexpr double kSliceMs = 5.0;  // Kernel's longest single wait
+  const auto voluntary_switches = [] {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return static_cast<long>(usage.ru_nvcsw);
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> parked{0};
+  std::atomic<long> switches{0};
+  std::atomic<long> slices{0};
+  std::vector<ThreadId> bystanders;
+  for (int i = 0; i < kBystanders; ++i) {
+    bystanders.push_back(k.spawn([&] {
+      const long before = voluntary_switches();
+      const auto start = std::chrono::steady_clock::now();
+      parked++;
+      const Status waited = k.wait_until(
+          *Kernel::current(), [&] { return stop.load(); }, 30s);
+      const std::chrono::duration<double, std::milli> waited_ms =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_TRUE(waited.is_ok()) << waited.to_string();
+      switches += voluntary_switches() - before;
+      slices += static_cast<long>(waited_ms.count() / kSliceMs) + 1;
+    }));
+  }
+  while (parked.load() < kBystanders) std::this_thread::sleep_for(1ms);
+
+  std::atomic<int> resumed{0};
+  const ThreadId raiser = k.spawn([&] {
+    for (int i = 0; i < kRoundTrips; ++i) {
+      auto verdict = n0.events.raise_and_wait(ping, oid);
+      if (verdict.is_ok() && verdict.value() == Verdict::kResume) resumed++;
+    }
+  });
+  ASSERT_TRUE(k.join_thread(raiser, 60s).is_ok());
+  stop = true;
+  for (ThreadId tid : bystanders) ASSERT_TRUE(k.join_thread(tid).is_ok());
+
+  EXPECT_EQ(resumed.load(), kRoundTrips);
+  // Slice wakeups only (doubled for scheduler noise).  A resume that
+  // notified every local context would add up to kRoundTrips per bystander.
+  // The budget scales with how long the round trips took, so a slow
+  // (sanitized) build raises it rather than failing the check.
+  EXPECT_LE(switches.load(), 2 * slices.load())
+      << "bystanders switched " << switches.load() << " times over "
+      << slices.load() << " wait slices";
 }
 
 TEST(KernelTimers, PeriodicTimerFires) {

@@ -210,6 +210,65 @@ TEST_F(RpcTest, EndpointShutdownFailsPendingCalls) {
   EXPECT_EQ(result.status().code(), StatusCode::kAborted);
 }
 
+// Reply fulfilment is inline on the delivery thread: a caller whose node has
+// every executor worker (the control reserve included) parked still gets its
+// answer, and no reply costs a control-lane task.
+TEST_F(RpcTest, ReplyNeedsNoExecutorWorker) {
+  server_->register_method(
+      "echo",
+      [](NodeId, Reader& args) -> Result<Payload> {
+        return int_payload(args.get<std::int64_t>());
+      },
+      MethodClass::kFast);
+
+  std::atomic<bool> release{false};
+  // Unparks on every exit, failed assertions included, and drains both
+  // executors so no parked task outlives the locals it reads.
+  struct Unpark {
+    std::atomic<bool>& release;
+    RpcEndpoint& client;
+    RpcEndpoint& server;
+    ~Unpark() {
+      release = true;
+      client.drain_workers();
+      server.drain_workers();
+    }
+  } unpark{release, *client_, *server_};
+  std::atomic<std::size_t> parked{0};
+  const auto park_all = [&](exec::Executor& executor) {
+    // One task per worker, each submitted only after the previous one is
+    // running, so no worker can take two of them as a control-lane batch.
+    const std::size_t target = parked.load() + executor.workers();
+    while (parked.load() < target) {
+      const std::size_t before = parked.load();
+      ASSERT_TRUE(executor
+                      .submit(exec::Lane::kControl,
+                              [&] {
+                                parked++;
+                                while (!release.load()) {
+                                  std::this_thread::sleep_for(1ms);
+                                }
+                              })
+                      .is_ok());
+      while (parked.load() == before) std::this_thread::sleep_for(1ms);
+    }
+  };
+  park_all(client_->executor());
+  park_all(server_->executor());
+
+  constexpr auto kControl = static_cast<std::size_t>(exec::Lane::kControl);
+  const std::uint64_t control_before =
+      client_->executor().stats().lanes[kControl].submitted;
+  for (std::int64_t i = 0; i < 100; ++i) {
+    auto result = client_->call(n2_, "echo", int_payload(i), 2s);
+    ASSERT_TRUE(result.is_ok()) << "call " << i << ": "
+                                << result.status().to_string();
+    EXPECT_EQ(int_value(result.value()), i);
+  }
+  EXPECT_EQ(client_->executor().stats().lanes[kControl].submitted,
+            control_before);
+}
+
 // --- retry / recovery -------------------------------------------------------------
 
 // Standalone fixture with retries enabled and a lossy wire.

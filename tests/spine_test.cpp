@@ -11,12 +11,15 @@
 //     answer or a hang — migration re-locates transparently, a crashed
 //     hinted host degrades to the configured locator within RPC timeouts;
 //   * a node runs its executor's workers, one delivery thread and ONE timer
-//     wheel — no per-layer timing threads.
+//     wheel — no per-layer timing threads;
+//   * a remote resume frees the handler's worker at once, and a lost one is
+//     retransmitted.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -405,6 +408,119 @@ TEST(SpineKernel, CacheAblationViaConfig) {
   EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u);
   EXPECT_EQ(n0.kernel.stats().cached_deliveries, 0u);
   ASSERT_TRUE(n1.kernel.join_thread(parked, 15s).is_ok());
+}
+
+// --- remote resume -------------------------------------------------------------
+
+// A passive object on `node` whose handler for `event` runs `body` and
+// resumes the raiser.
+ObjectId add_resuming_object(runtime::NodeRuntime& node,
+                             const std::string& event,
+                             std::function<void()> body) {
+  auto obj = std::make_shared<objects::PassiveObject>("resume_target");
+  obj->define_entry(
+      "on_event",
+      [body = std::move(body)](objects::CallCtx&)
+          -> Result<objects::Payload> {
+        body();
+        return objects::Payload{
+            static_cast<std::uint8_t>(kernel::Verdict::kResume)};
+      },
+      objects::Visibility::kPrivate);
+  obj->define_handler(event, "on_event");
+  return node.objects.add_object(obj);
+}
+
+// The handler node sends kernel.resume without waiting for its ack, so its
+// event-lane worker (the §7 master handler thread) is free as soon as the
+// handler returns, not a wire round trip later.
+TEST(SpineResume, RemoteResumeDoesNotParkTheHandler) {
+  constexpr auto kLatency = 20ms;  // one way; the ack would cost 2x
+  ClusterConfig config;
+  config.network.base_latency = kLatency;
+  Cluster cluster(2, config);
+  auto& n0 = cluster.node(0);
+  auto& n1 = cluster.node(1);
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> runs{0};
+  std::atomic<Clock::rep> returned_at{0};
+  const ObjectId oid = add_resuming_object(n1, "SLOW_WIRE", [&] {
+    runs++;
+    returned_at = Clock::now().time_since_epoch().count();
+  });
+  const EventId ev = cluster.registry().register_event("SLOW_WIRE");
+
+  constexpr auto kEvent = static_cast<std::size_t>(exec::Lane::kEvent);
+  const std::uint64_t executed_before =
+      n1.executor.stats().lanes[kEvent].executed;
+  std::atomic<Clock::rep> freed_at{0};
+  std::thread watcher([&] {
+    const auto give_up = Clock::now() + 30s;
+    while (n1.executor.stats().lanes[kEvent].executed == executed_before &&
+           Clock::now() < give_up) {
+      std::this_thread::sleep_for(50us);
+    }
+    freed_at = Clock::now().time_since_epoch().count();
+  });
+  auto verdict = n0.events.raise_and_wait(ev, oid);
+  watcher.join();
+
+  ASSERT_TRUE(verdict.is_ok()) << verdict.status().to_string();
+  EXPECT_EQ(verdict.value(), kernel::Verdict::kResume);
+  EXPECT_EQ(runs.load(), 1);
+  const Clock::duration busy_after_handler{freed_at.load() -
+                                           returned_at.load()};
+  EXPECT_LT(busy_after_handler, kLatency)
+      << "worker stayed busy "
+      << std::chrono::duration_cast<std::chrono::microseconds>(
+             busy_after_handler)
+             .count()
+      << "us after the handler returned";
+}
+
+// A lost resume is retransmitted by the dropped ticket's pending record: the
+// raiser is still resumed well inside sync_timeout, and the handler ran once.
+TEST(SpineResume, DroppedResumeIsRetransmitted) {
+  ClusterConfig config;
+  config.node.rpc.max_retries = 10;
+  config.node.rpc.retry_base_delay = 10ms;
+  config.node.rpc.retry_max_delay = 50ms;
+  config.node.events.sync_timeout = 10s;
+  Cluster cluster(2, config);
+  auto& n0 = cluster.node(0);
+  auto& n1 = cluster.node(1);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> go{false};
+  std::atomic<int> runs{0};
+  const ObjectId oid = add_resuming_object(n1, "LOST_RESUME", [&] {
+    runs++;
+    entered = true;
+    while (!go.load()) std::this_thread::sleep_for(1ms);
+  });
+  const EventId ev = cluster.registry().register_event("LOST_RESUME");
+
+  Result<kernel::Verdict> verdict{Status{StatusCode::kInternal, "not run"}};
+  std::thread raiser([&] { verdict = n0.events.raise_and_wait(ev, oid); });
+  while (!entered.load()) std::this_thread::sleep_for(1ms);
+  // Everything on the wire is lost from here on: the resume the handler
+  // sends when it returns is the message this test is about.
+  net::FaultPlan drop_all;
+  drop_all.link_defaults.drop_probability = 1.0;
+  cluster.network().load_fault_plan(drop_all);
+  go = true;
+  for (int i = 0; i < 5000 && cluster.network().stats().dropped_by_fault == 0;
+       ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  cluster.network().load_fault_plan(net::FaultPlan{});
+  raiser.join();
+
+  ASSERT_TRUE(verdict.is_ok()) << verdict.status().to_string();
+  EXPECT_EQ(verdict.value(), kernel::Verdict::kResume);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_GE(cluster.network().stats().dropped_by_fault, 1u);
+  // Node 1 sends no other request: its retransmission is the resume's.
+  EXPECT_GE(n1.rpc.stats().retries_sent, 1u);
 }
 
 // --- per-node thread budget ----------------------------------------------------

@@ -394,6 +394,31 @@ TEST(TimerWheelTest, CancelPreventsFire) {
   wheel.stop();
 }
 
+// Every RPC arms a 5s deadline and cancels it when the reply lands.  A
+// cancel must free the slot entry at once, not when the far slot comes due,
+// or slot memory grows as call rate x 5s.
+TEST(TimerWheelTest, CancelFreesItsSlotEntry) {
+  TimerWheel wheel;
+  constexpr int kTimers = 10000;
+  constexpr int kCancelled = 9000;
+  std::vector<TimerId> ids;
+  ids.reserve(kTimers);
+  for (int i = 0; i < kTimers; ++i) ids.push_back(wheel.schedule(5s, [] {}));
+  // Cancel in a scattered order so swap-removal moves live entries around.
+  for (int i = 0; i < kCancelled; ++i) {
+    const auto scattered = static_cast<std::size_t>((i * 7919) % kTimers);
+    ASSERT_TRUE(wheel.cancel(ids[scattered]));
+  }
+  EXPECT_EQ(wheel.pending(), static_cast<std::size_t>(kTimers - kCancelled));
+  EXPECT_EQ(wheel.stats().slot_entries, wheel.pending());
+  // The survivors are still the cancellable ones.
+  std::size_t survivors = 0;
+  for (const TimerId id : ids) survivors += wheel.cancel(id) ? 1 : 0;
+  EXPECT_EQ(survivors, static_cast<std::size_t>(kTimers - kCancelled));
+  EXPECT_EQ(wheel.stats().slot_entries, 0u);
+  wheel.stop();
+}
+
 TEST(TimerWheelTest, LongDelayCascadesAcrossLevels) {
   TimerWheel wheel;
   std::atomic<int> fired{0};
