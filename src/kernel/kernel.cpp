@@ -215,7 +215,12 @@ void Kernel::run_thread_body(std::shared_ptr<ThreadContext> ctx,
   g_current_kernel = nullptr;
 
   stop_timers_for(ctx->tid());
-  multicast_leave(ctx->tid());
+  // The thread dies at its root, so no node joins its location group again:
+  // remove the group, not just this member, or the transport keeps one
+  // group per thread ever spawned.
+  if (config_.maintain_multicast_groups) {
+    network_.remove_multicast_group(thread_multicast_group(ctx->tid()));
+  }
   unregister_context(ctx->tid(), /*tombstone=*/true);
   bump(&AtomicStats::threads_terminated);
   {
@@ -258,13 +263,19 @@ void Kernel::unregister_context(ThreadId tid, bool tombstone) {
   location_cache_.invalidate(tid);
   std::lock_guard<std::mutex> lock(mu_);
   contexts_.erase(tid);
-  if (tombstone) {
-    tombstones_[tid] = clock_.now();
-    // Opportunistic reap of expired tombstones (the "zombie" discussion in
-    // §7: trails of death information must not accumulate).
-    const Duration cutoff = clock_.now() - config_.tombstone_ttl;
-    std::erase_if(tombstones_,
-                  [cutoff](const auto& kv) { return kv.second < cutoff; });
+  if (!tombstone) return;
+  // Read under mu_ so the FIFO stays in death order.
+  const Duration now = clock_.now();
+  tombstones_[tid] = now;
+  tombstone_fifo_.emplace_back(now, tid);
+  // Reap expired tombstones (the "zombie" discussion in §7: trails of death
+  // information must not accumulate).
+  const Duration cutoff = now - config_.tombstone_ttl;
+  while (!tombstone_fifo_.empty() && tombstone_fifo_.front().first < cutoff) {
+    const auto [died, dead_tid] = tombstone_fifo_.front();
+    tombstone_fifo_.pop_front();
+    auto it = tombstones_.find(dead_tid);
+    if (it != tombstones_.end() && it->second == died) tombstones_.erase(it);
   }
 }
 
@@ -276,7 +287,15 @@ std::shared_ptr<ThreadContext> Kernel::find_context(ThreadId tid) const {
 
 bool Kernel::is_tombstoned(ThreadId tid) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tombstones_.contains(tid);
+  auto it = tombstones_.find(tid);
+  // An expired record reads as gone even before a later exit reaps it.
+  return it != tombstones_.end() &&
+         it->second >= clock_.now() - config_.tombstone_ttl;
+}
+
+std::size_t Kernel::tombstone_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tombstones_.size();
 }
 
 void Kernel::terminate_all_local() {
@@ -1171,15 +1190,14 @@ Status Kernel::add_timer(ThreadContext& ctx, TimerRecord record) {
   });
   {
     std::lock_guard<std::mutex> lock(timers_mu_);
-    std::erase_if(timers_, [&](const TimerEntry& e) {
-      if (e.tid == ctx.tid() && e.record.event == record.event) {
-        wheel_.cancel(e.wheel_timer);
-        return true;
-      }
-      return false;
+    auto& entries = timers_[ctx.tid()];
+    std::erase_if(entries, [&](const TimerEntry& e) {
+      if (e.record.event != record.event) return false;
+      wheel_.cancel(e.wheel_timer);
+      return true;
     });
-    timers_.push_back(TimerEntry{ctx.tid(), record});
-    arm_wheel_locked(timers_.back());
+    entries.push_back(TimerEntry{record});
+    arm_wheel_locked(ctx.tid(), entries.back());
   }
   return Status::ok();
 }
@@ -1190,13 +1208,14 @@ Status Kernel::remove_timer(ThreadContext& ctx, EventId event) {
                   [&](const TimerRecord& t) { return t.event == event; });
   });
   std::lock_guard<std::mutex> lock(timers_mu_);
-  std::erase_if(timers_, [&](const TimerEntry& e) {
-    if (e.tid == ctx.tid() && e.record.event == event) {
-      wheel_.cancel(e.wheel_timer);
-      return true;
-    }
-    return false;
+  auto it = timers_.find(ctx.tid());
+  if (it == timers_.end()) return Status::ok();
+  std::erase_if(it->second, [&](const TimerEntry& e) {
+    if (e.record.event != event) return false;
+    wheel_.cancel(e.wheel_timer);
+    return true;
   });
+  if (it->second.empty()) timers_.erase(it);
   return Status::ok();
 }
 
@@ -1207,23 +1226,22 @@ void Kernel::start_timers_for(ThreadContext& ctx) {
       [](ThreadAttributes& a) { return a.timers; });
   if (records.empty()) return;
   std::lock_guard<std::mutex> lock(timers_mu_);
+  auto& entries = timers_[ctx.tid()];
   for (const auto& record : records) {
-    timers_.push_back(TimerEntry{ctx.tid(), record});
-    arm_wheel_locked(timers_.back());
+    entries.push_back(TimerEntry{record});
+    arm_wheel_locked(ctx.tid(), entries.back());
   }
 }
 
 void Kernel::stop_timers_for(ThreadId tid) {
   std::lock_guard<std::mutex> lock(timers_mu_);
-  std::erase_if(timers_, [&](const TimerEntry& e) {
-    if (e.tid != tid) return false;
-    wheel_.cancel(e.wheel_timer);
-    return true;
-  });
+  auto it = timers_.find(tid);
+  if (it == timers_.end()) return;
+  for (const TimerEntry& e : it->second) wheel_.cancel(e.wheel_timer);
+  timers_.erase(it);
 }
 
-void Kernel::arm_wheel_locked(TimerEntry& entry) {
-  const ThreadId tid = entry.tid;
+void Kernel::arm_wheel_locked(ThreadId tid, TimerEntry& entry) {
   const EventId event = entry.record.event;
   entry.wheel_timer = wheel_.schedule(
       std::chrono::microseconds(entry.record.period_us),
@@ -1236,16 +1254,20 @@ void Kernel::on_wheel_timer(ThreadId tid, EventId event) {
   TimerRecord fired;
   {
     std::lock_guard<std::mutex> lock(timers_mu_);
-    auto it = std::find_if(timers_.begin(), timers_.end(),
+    auto thread_it = timers_.find(tid);
+    if (thread_it == timers_.end()) return;
+    auto& entries = thread_it->second;
+    auto it = std::find_if(entries.begin(), entries.end(),
                            [&](const TimerEntry& e) {
-                             return e.tid == tid && e.record.event == event;
+                             return e.record.event == event;
                            });
-    if (it == timers_.end()) return;
+    if (it == entries.end()) return;
     fired = it->record;
-    if (fired.one_shot) {
-      timers_.erase(it);
+    if (!fired.one_shot) {
+      arm_wheel_locked(tid, *it);  // next period
     } else {
-      arm_wheel_locked(*it);  // next period
+      entries.erase(it);
+      if (entries.empty()) timers_.erase(thread_it);
     }
   }
   auto ctx = find_context(tid);

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -268,8 +269,13 @@ class Kernel {
   [[nodiscard]] KernelStats stats() const;
   void reset_stats();
 
-  // True if the thread died at this node recently (tombstoned).
+  // True if the thread died at this node less than tombstone_ttl ago.
   [[nodiscard]] bool is_tombstoned(ThreadId tid) const;
+  // Death records currently held, expired ones not yet reaped included.
+  [[nodiscard]] std::size_t tombstone_count() const;
+
+  // The per-thread multicast group the kMulticast locator probes (§7.1).
+  [[nodiscard]] GroupId thread_multicast_group(ThreadId tid) const;
 
   // Marks every context present at this node terminated (node shutdown):
   // carriers and adopted bodies unwind at their next delivery point.
@@ -292,7 +298,6 @@ class Kernel {
   };
 
   struct TimerEntry {
-    ThreadId tid;
     TimerRecord record;
     // The armed one-shot wheel timer for the next fire (re-armed by
     // on_wheel_timer).
@@ -317,7 +322,6 @@ class Kernel {
   void unregister_context(ThreadId tid, bool tombstone);
   std::shared_ptr<ThreadContext> find_context(ThreadId tid) const;
 
-  [[nodiscard]] GroupId thread_multicast_group(ThreadId tid) const;
   void multicast_join(ThreadId tid);
   void multicast_leave(ThreadId tid);
 
@@ -330,7 +334,7 @@ class Kernel {
   // thread, so it must not block.
   void on_wheel_timer(ThreadId tid, EventId event);
   // Arms (or re-arms) a registry entry's wheel timer; holds timers_mu_.
-  void arm_wheel_locked(TimerEntry& entry);
+  void arm_wheel_locked(ThreadId tid, TimerEntry& entry);
   void start_timers_for(ThreadContext& ctx);
   void stop_timers_for(ThreadId tid);
 
@@ -351,6 +355,11 @@ class Kernel {
   std::map<ThreadId, RootThread> root_threads_;
   std::condition_variable root_done_cv_;
   std::unordered_map<ThreadId, Duration> tombstones_;  // tid -> death time
+  // (death time, tid) in death order.  The TTL is one constant, so death
+  // order is expiry order: each new tombstone pops the expired front, O(1)
+  // amortized per exit.  A tid tombstoned twice has two entries; the older
+  // one only erases the map entry if it still holds the same death time.
+  std::deque<std::pair<Duration, ThreadId>> tombstone_fifo_;
 
   mutable std::mutex waiters_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Waiter>> waiters_;
@@ -375,7 +384,10 @@ class Kernel {
   std::unordered_map<std::uint64_t, std::shared_ptr<CensusPending>> censuses_;
 
   mutable std::mutex timers_mu_;
-  std::vector<TimerEntry> timers_;  // registry; §6.2 recreation reads this
+  // Registry of armed timers by thread; §6.2 recreation reads this.  Exit,
+  // travel, arm and fire are one lookup; a thread with no timers has no
+  // entry, so stopping its timers is a hash miss.
+  std::unordered_map<ThreadId, std::vector<TimerEntry>> timers_;
   // The node executor's shared wheel: one one-shot timer per record, O(1)
   // per arm/cancel.  The executor stops it before the kernel is destroyed.
   common::TimerWheel& wheel_;

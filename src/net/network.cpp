@@ -270,6 +270,14 @@ Status Network::create_multicast_group(GroupId group) {
   return Status::ok();
 }
 
+Status Network::remove_multicast_group(GroupId group) {
+  std::unique_lock<std::shared_mutex> lock(topo_mu_);
+  if (multicast_groups_.erase(group) == 0) {
+    return {StatusCode::kNoSuchGroup, group.to_string()};
+  }
+  return Status::ok();
+}
+
 Status Network::join(GroupId group, NodeId node) {
   std::unique_lock<std::shared_mutex> lock(topo_mu_);
   auto it = multicast_groups_.find(group);

@@ -144,6 +144,7 @@ class Network final : public Transport {
 
   // Multicast groups.
   Status create_multicast_group(GroupId group) override;
+  Status remove_multicast_group(GroupId group) override;
   Status join(GroupId group, NodeId node) override;
   Status leave(GroupId group, NodeId node) override;
   Status multicast(GroupId group, Message message) override;

@@ -472,6 +472,18 @@ Status SocketTransport::create_multicast_group(GroupId group) {
   return Status::ok();
 }
 
+Status SocketTransport::remove_multicast_group(GroupId group) {
+  {
+    std::lock_guard<std::mutex> lock(groups_mu_);
+    if (groups_.erase(group) == 0) {
+      return {StatusCode::kNoSuchGroup, group.to_string()};
+    }
+  }
+  // Peers hold replicas of every group this node joined; drop them too.
+  announce_group(wire::kCtrlGroupRemove, group);
+  return Status::ok();
+}
+
 Status SocketTransport::join(GroupId group, NodeId node) {
   {
     std::lock_guard<std::mutex> lock(groups_mu_);
@@ -650,12 +662,15 @@ bool SocketTransport::handle_control(const Message& message) {
       return true;
     }
     case wire::kCtrlGroupJoin:
-    case wire::kCtrlGroupLeave: {
+    case wire::kCtrlGroupLeave:
+    case wire::kCtrlGroupRemove: {
       const std::uint64_t group = reader.u64();
       if (!reader.ok) return false;
       std::lock_guard<std::mutex> lock(groups_mu_);
       if (message.kind == wire::kCtrlGroupJoin) {
         groups_[GroupId{group}].insert(message.from);
+      } else if (message.kind == wire::kCtrlGroupRemove) {
+        groups_.erase(GroupId{group});
       } else {
         auto it = groups_.find(GroupId{group});
         if (it != groups_.end()) it->second.erase(message.from);

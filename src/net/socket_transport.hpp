@@ -146,6 +146,7 @@ class SocketTransport final : public Transport {
   Status send(Message message) override;
   Status broadcast(Message message) override;
   Status create_multicast_group(GroupId group) override;
+  Status remove_multicast_group(GroupId group) override;
   Status join(GroupId group, NodeId node) override;
   Status leave(GroupId group, NodeId node) override;
   Status multicast(GroupId group, Message message) override;

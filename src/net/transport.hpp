@@ -41,6 +41,10 @@ class Transport {
   virtual Status broadcast(Message message) = 0;
 
   virtual Status create_multicast_group(GroupId group) = 0;
+  // Deletes the group with its members; kNoSuchGroup if it does not exist.
+  // leave() keeps an emptied group (a multicast to it is still ok), so a
+  // caller that is done with a group for good removes it.
+  virtual Status remove_multicast_group(GroupId group) = 0;
   virtual Status join(GroupId group, NodeId node) = 0;
   virtual Status leave(GroupId group, NodeId node) = 0;
   virtual Status multicast(GroupId group, Message message) = 0;

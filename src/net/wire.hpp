@@ -62,6 +62,9 @@ inline constexpr std::size_t kMaxPayloadBytes = 64u << 20;  // 64 MiB
 inline constexpr std::uint16_t kCtrlHello = 0xFF01;
 inline constexpr std::uint16_t kCtrlGroupJoin = 0xFF02;
 inline constexpr std::uint16_t kCtrlGroupLeave = 0xFF03;
+// Added without a version bump: older peers ignore unknown control kinds, so
+// they merely keep a removed group's replica.
+inline constexpr std::uint16_t kCtrlGroupRemove = 0xFF04;
 
 [[nodiscard]] constexpr bool is_control_kind(std::uint16_t kind) {
   return kind >= 0xFF00;

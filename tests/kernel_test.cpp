@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -158,6 +160,82 @@ TEST(KernelThreads, TombstoneAfterExit) {
   const ThreadId tid = k.spawn([] {});
   ASSERT_TRUE(k.join_thread(tid).is_ok());
   EXPECT_TRUE(k.is_tombstoned(tid));
+}
+
+TEST(KernelThreads, TombstoneExpiresWithoutLaterExits) {
+  runtime::ClusterConfig config;
+  config.node.kernel.tombstone_ttl = 20ms;
+  Cluster cluster(1, config);
+  auto& k = cluster.node(0).kernel;
+  const ThreadId tid = k.spawn([] {});
+  ASSERT_TRUE(k.join_thread(tid).is_ok());
+  // No later exit reaps the record: the TTL must hold on read alone.
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(k.is_tombstoned(tid));
+  EventNotice notice;
+  notice.event = EventId{42};
+  notice.target_thread = tid;
+  EXPECT_EQ(k.deliver_local(notice, false).code(), StatusCode::kNoSuchThread);
+}
+
+TEST(KernelThreads, TombstonesExpireInDeathOrder) {
+  runtime::ClusterConfig config;
+  config.node.kernel.tombstone_ttl = 200ms;
+  Cluster cluster(1, config);
+  auto& k = cluster.node(0).kernel;
+  std::vector<ThreadId> early;
+  for (int i = 0; i < 100; ++i) early.push_back(k.spawn([] {}));
+  for (ThreadId tid : early) ASSERT_TRUE(k.join_thread(tid).is_ok());
+  std::this_thread::sleep_for(400ms);
+  const ThreadId last = k.spawn([] {});
+  ASSERT_TRUE(k.join_thread(last).is_ok());
+  EXPECT_TRUE(k.is_tombstoned(last));
+  for (ThreadId tid : early) EXPECT_FALSE(k.is_tombstoned(tid));
+  // The last exit reaped the expired records rather than only hiding them.
+  EXPECT_EQ(k.tombstone_count(), 1u);
+}
+
+TEST(KernelThreads, RetombstonedThreadKeepsLaterDeathTime) {
+  runtime::ClusterConfig config;
+  config.node.kernel.tombstone_ttl = 500ms;
+  Cluster cluster(1, config);
+  auto& k = cluster.node(0).kernel;
+  // A departed stub dropped with a tombstone is a death at this node; the
+  // same tid can be stubbed and dropped again.
+  const auto stub_dies = [&](ThreadId tid) {
+    auto stub = std::make_shared<ThreadContext>(tid, k.self());
+    stub->depart(NodeId{99});
+    k.adopt_stub(stub);
+    k.drop_stub(tid, /*tombstone=*/true);
+  };
+  const ThreadId tid = k.ids().next_thread_id(k.self());
+  stub_dies(tid);
+  std::this_thread::sleep_for(300ms);
+  stub_dies(tid);
+  std::this_thread::sleep_for(300ms);
+  // This death reaps the first record for `tid`, which has expired; the
+  // second, younger one must survive it.
+  stub_dies(k.ids().next_thread_id(k.self()));
+  EXPECT_TRUE(k.is_tombstoned(tid));
+  EXPECT_EQ(k.tombstone_count(), 2u);
+}
+
+TEST(KernelThreads, DeadThreadsMulticastGroupIsRemoved) {
+  Cluster cluster(2);
+  auto& k = cluster.node(0).kernel;
+  net::Transport& transport = cluster.transport_for(k.self());
+  std::atomic<bool> release{false};
+  const ThreadId tid = k.spawn([&] {
+    while (!release.load()) {
+      if (!k.sleep_for(1ms).is_ok()) return;
+    }
+  });
+  const GroupId group = k.thread_multicast_group(tid);
+  EXPECT_EQ(transport.create_multicast_group(group).code(),
+            StatusCode::kAlreadyExists);
+  release = true;
+  ASSERT_TRUE(k.join_thread(tid).is_ok());
+  EXPECT_TRUE(transport.create_multicast_group(group).is_ok());
 }
 
 TEST(KernelDelivery, DeliverLocalQueuesNotice) {
@@ -486,6 +564,64 @@ TEST(KernelTimers, RemoveTimerStopsFiring) {
     EXPECT_LE(fires.load(), count + 1);  // at most one in-flight straggler
   });
   ASSERT_TRUE(k.join_thread(tid, 10s).is_ok());
+}
+
+TEST(KernelTimers, PeriodicTimerSurvivesChurnOfTimedThreads) {
+  Cluster cluster(1);
+  auto& k = cluster.node(0).kernel;
+  common::TimerWheel& wheel = cluster.node(0).executor.timers();
+  std::atomic<int> fires{0};
+  k.set_delivery_callback([&](ThreadContext&, const EventNotice& notice) {
+    if (notice.event == EventId{5}) fires++;
+    return Verdict::kResume;
+  });
+  const std::size_t baseline = wheel.pending();
+  std::atomic<bool> release{false};
+  const ThreadId steady = k.spawn([&] {
+    ThreadContext* ctx = Kernel::current();
+    ASSERT_TRUE(
+        k.add_timer(*ctx, TimerRecord{EventId{5}, 2000, false}).is_ok());
+    while (!release.load()) {
+      if (!k.sleep_for(1ms).is_ok()) return;
+    }
+  });
+  const auto fires_reach = [&](int target) {
+    for (int i = 0; i < 5000 && fires.load() < target; ++i) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return fires.load() >= target;
+  };
+  ASSERT_TRUE(fires_reach(1));
+
+  // 1,000 threads each arm a periodic timer that never fires and a one-shot
+  // that may, then exit; at most 25 run at once.
+  const int before_churn = fires.load();
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<ThreadId> tids;
+    for (int i = 0; i < 25; ++i) {
+      tids.push_back(k.spawn([&k] {
+        ThreadContext* ctx = Kernel::current();
+        ASSERT_TRUE(
+            k.add_timer(*ctx, TimerRecord{EventId{6}, 3'600'000'000, false})
+                .is_ok());
+        ASSERT_TRUE(
+            k.add_timer(*ctx, TimerRecord{EventId{7}, 500, true}).is_ok());
+        k.sleep_for(1ms);
+      }));
+    }
+    for (ThreadId tid : tids) ASSERT_TRUE(k.join_thread(tid, 10s).is_ok());
+  }
+  EXPECT_GT(fires.load(), before_churn);
+  EXPECT_TRUE(fires_reach(fires.load() + 3));
+
+  release = true;
+  ASSERT_TRUE(k.join_thread(steady, 10s).is_ok());
+  // Every exit cancelled its wheel timers: only a tick in flight can hold
+  // one (a fired timer is not pending; a re-arm replaces it).
+  for (int i = 0; i < 2000 && wheel.pending() != baseline; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(wheel.pending(), baseline);
 }
 
 TEST(KernelTimers, ZeroPeriodRejected) {

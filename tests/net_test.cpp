@@ -130,6 +130,10 @@ TEST(Network, MulticastGroupErrors) {
   ASSERT_TRUE(net.create_multicast_group(GroupId{5}).is_ok());
   EXPECT_EQ(net.create_multicast_group(GroupId{5}).code(),
             StatusCode::kAlreadyExists);
+  ASSERT_TRUE(net.remove_multicast_group(GroupId{5}).is_ok());
+  EXPECT_EQ(net.remove_multicast_group(GroupId{5}).code(),
+            StatusCode::kNoSuchGroup);
+  EXPECT_TRUE(net.create_multicast_group(GroupId{5}).is_ok());
 }
 
 TEST(Network, PartitionDropsBothDirections) {

@@ -144,6 +144,27 @@ TEST(SocketTransport, GroupJoinReplicatesToPeerAndMulticastLands) {
   EXPECT_EQ(got.load(), before);
 }
 
+TEST(SocketTransport, GroupRemoveReplicatesToPeer) {
+  Pair pair;
+  pair.b->register_node(NodeId{2}, [](const Message&) {});
+  const GroupId group{0x600E};
+  ASSERT_TRUE(pair.b->create_multicast_group(group).is_ok());
+  ASSERT_TRUE(pair.b->join(group, NodeId{2}).is_ok());
+  // The join announcement creates a's replica of the group.
+  ASSERT_TRUE(pair.b->wait_for_peers(1, 5s));
+  ASSERT_TRUE(wait_until([&] {
+    return pair.a->create_multicast_group(group).code() ==
+           StatusCode::kAlreadyExists;
+  }));
+
+  ASSERT_TRUE(pair.b->remove_multicast_group(group).is_ok());
+  EXPECT_EQ(pair.b->remove_multicast_group(group).code(),
+            StatusCode::kNoSuchGroup);
+  // a drops its replica: the group can be created afresh there.
+  EXPECT_TRUE(wait_until(
+      [&] { return pair.a->create_multicast_group(group).is_ok(); }));
+}
+
 TEST(SocketTransport, NodesReportsConfiguredMesh) {
   Pair pair;
   const std::vector<NodeId> expected{NodeId{1}, NodeId{2}};
