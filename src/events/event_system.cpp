@@ -41,8 +41,7 @@ EventSystem::EventSystem(kernel::Kernel& kernel,
       rpc_(rpc),
       registry_(registry),
       procedures_(procedures),
-      config_(config),
-      trace_(config.trace_capacity) {
+      config_(config) {
   // CI ablation hook: rerun the same binaries under the other dispatch mode.
   if (const char* env = std::getenv("DOCT_DISPATCH")) {
     if (std::strcmp(env, "per_event") == 0 ||
@@ -252,13 +251,10 @@ Status EventSystem::raise(EventId event, ThreadId target,
                       notice.event_name);
   notice.trace_id = span.context().trace_id;
   notice.parent_span = span.context().span_id;
-  trace_.record(TraceStage::kRaised, event, notice.event_name, target,
-                ObjectId{}, {}, notice.trace_id);
   const Status delivered =
       kernel_.deliver_remote(notice, registry_.is_control(event));
   if (delivered.code() == StatusCode::kDeadTarget) {
-    trace_.record(TraceStage::kDeadTarget, event, notice.event_name, target,
-                  ObjectId{}, {}, notice.trace_id);
+    obs::mark("dead_target", kernel_.self().value(), notice.event_name);
     bump(&AtomicStats::dead_target_raises);
     // §7: "When a notification is posted to a thread and the thread has been
     // destroyed, the sender of the event (if it is an asynchronous event)
@@ -293,8 +289,6 @@ Status EventSystem::raise(EventId event, GroupId target,
                       notice.event_name);
   notice.trace_id = span.context().trace_id;
   notice.parent_span = span.context().span_id;
-  trace_.record(TraceStage::kRaised, event, notice.event_name, ThreadId{},
-                ObjectId{}, "group " + target.to_string(), notice.trace_id);
   return kernel_.deliver_group(notice, registry_.is_control(event));
 }
 
@@ -310,8 +304,6 @@ Status EventSystem::raise(EventId event, ObjectId target,
                       notice.event_name);
   notice.trace_id = span.context().trace_id;
   notice.parent_span = span.context().span_id;
-  trace_.record(TraceStage::kRaised, event, notice.event_name, ThreadId{},
-                target, {}, notice.trace_id);
   return dispatch_to_object(notice);
 }
 
@@ -335,14 +327,13 @@ Result<kernel::Verdict> EventSystem::raise_and_wait(EventId event,
                       notice.event_name);
   notice.trace_id = span.context().trace_id;
   notice.parent_span = span.context().span_id;
-  trace_.record(TraceStage::kRaised, event, notice.event_name, target,
-                ObjectId{}, "sync", notice.trace_id);
   const std::int64_t t0 = obs::metrics_enabled() ? obs::now_us() : 0;
   kernel_.prepare_wait(notice.wait_token);
   const Status delivered =
       kernel_.deliver_remote(notice, registry_.is_control(event));
   if (!delivered.is_ok()) {
     if (delivered.code() == StatusCode::kDeadTarget) {
+      obs::mark("dead_target", kernel_.self().value(), notice.event_name);
       bump(&AtomicStats::dead_target_raises);
     }
     return delivered;
@@ -479,8 +470,6 @@ kernel::Verdict EventSystem::on_deliver(kernel::ThreadContext& ctx,
   obs::SpanGuard span("handle", kernel_.self().value(),
                       obs::TraceContext{notice.trace_id, notice.parent_span},
                       notice.event_name);
-  trace_.record(TraceStage::kDelivered, notice.event, notice.event_name,
-                ctx.tid(), ObjectId{}, {}, notice.trace_id);
   const std::int64_t t0 = obs::metrics_enabled() ? obs::now_us() : 0;
   const kernel::Verdict verdict = execute_chain(ctx, notice);
   if (t0 != 0) handle_us_->record_us(obs::now_us() - t0);
@@ -525,8 +514,6 @@ std::pair<bool, kernel::Verdict> EventSystem::run_handler(
         return {false, kernel::Verdict::kResume};
       }
       bump(&AtomicStats::per_thread_procs_run);
-      trace_.record(TraceStage::kHandlerRun, notice.event, notice.event_name,
-                    ctx.tid(), ObjectId{}, record.entry, notice.trace_id);
       const EventBlock block{notice};
       PerThreadCallCtx pctx{ctx, block, manager_, ctx.current_object()};
       return {true, proc.value()(pctx)};
@@ -534,8 +521,6 @@ std::pair<bool, kernel::Verdict> EventSystem::run_handler(
     case kernel::HandlerKind::kObjectEntry:
     case kernel::HandlerKind::kBuddy: {
       bump(&AtomicStats::thread_handlers_run);
-      trace_.record(TraceStage::kHandlerRun, notice.event, notice.event_name,
-                    ctx.tid(), record.object, record.entry, notice.trace_id);
       const NodeId home = objects::ObjectManager::object_node(record.object);
       Result<rpc::Payload> result{rpc::Payload{}};
       if (home == kernel_.self()) {
@@ -565,9 +550,9 @@ std::pair<bool, kernel::Verdict> EventSystem::run_handler(
 
 kernel::Verdict EventSystem::apply_default(const kernel::EventNotice& notice) {
   bump(&AtomicStats::defaults_applied);
-  trace_.record(TraceStage::kDefaultApplied, notice.event, notice.event_name,
-                notice.target_thread, notice.target_object, {},
-                notice.trace_id);
+  // No handler ran, so the chain leaves no span of its own: mark the
+  // outcome on the notice's trace.
+  obs::mark("default", kernel_.self().value(), notice.event_name);
   return registry_.default_action(notice.event) == DefaultAction::kTerminate
              ? kernel::Verdict::kTerminate
              : kernel::Verdict::kResume;
@@ -576,11 +561,6 @@ kernel::Verdict EventSystem::apply_default(const kernel::EventNotice& notice) {
 void EventSystem::send_resume(const kernel::EventNotice& notice,
                               kernel::Verdict verdict) {
   if (notice.wait_token == 0) return;
-  trace_.record(TraceStage::kResumeSent, notice.event, notice.event_name,
-                notice.raiser, ObjectId{},
-                verdict == kernel::Verdict::kTerminate ? "terminate"
-                                                       : "resume",
-                notice.trace_id);
   if (notice.raiser_node == kernel_.self()) {
     kernel_.resume_waiter(notice.wait_token, verdict);
     return;
@@ -637,8 +617,6 @@ exec::Lane EventSystem::lane_for(EventId event) const {
 
 Status EventSystem::run_object_handler(const kernel::EventNotice& notice,
                                        bool may_block) {
-  trace_.record(TraceStage::kObjectDispatched, notice.event, notice.event_name,
-                ThreadId{}, notice.target_object, {}, notice.trace_id);
   if (config_.dispatch_mode == ObjectDispatchMode::kMasterThread) {
     // §7: the event lane plays the master handler thread — width 1 serves
     // all events on behalf of passive objects with zero thread creation,
@@ -670,9 +648,6 @@ Status EventSystem::run_object_handler(const kernel::EventNotice& notice,
       // Fail the raiser instead of leaking its notice (and, for synchronous
       // raises, its blocked waiter) into a backlog that will never drain.
       bump(&AtomicStats::shed_dispatches);
-      trace_.record(TraceStage::kObjectDispatched, notice.event,
-                    notice.event_name, ThreadId{}, notice.target_object,
-                    "shed", notice.trace_id);
       DOCT_LOG(kWarn) << "object event " << notice.event_name
                       << " shed: " << admitted.message();
     }

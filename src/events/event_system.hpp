@@ -45,7 +45,6 @@
 #include "common/result.hpp"
 #include "events/block.hpp"
 #include "events/registry.hpp"
-#include "events/trace.hpp"
 #include "kernel/kernel.hpp"
 #include "objects/manager.hpp"
 #include "obs/metrics.hpp"
@@ -66,8 +65,6 @@ struct EventConfig {
   ObjectDispatchMode dispatch_mode = ObjectDispatchMode::kMasterThread;
   Duration sync_timeout = std::chrono::seconds(10);
   int max_handler_depth = 16;  // re-entrant handler recursion guard
-  // Lifecycle tracing ring-buffer size; 0 disables tracing entirely.
-  std::size_t trace_capacity = 0;
 };
 
 struct EventStats {
@@ -146,9 +143,6 @@ class EventSystem {
   [[nodiscard]] EventStats stats() const;
   void reset_stats();
 
-  // Lifecycle trace (enabled via EventConfig::trace_capacity).
-  [[nodiscard]] EventTrace& trace() { return trace_; }
-
  private:
   // Kernel delivery callback: runs the thread's handler chain for a notice.
   kernel::Verdict on_deliver(kernel::ThreadContext& ctx,
@@ -221,8 +215,6 @@ class EventSystem {
 
   std::function<Status(ObjectId)> activation_hook_;
   std::mutex hook_mu_;
-
-  EventTrace trace_;
 
   AtomicStats stats_;
 

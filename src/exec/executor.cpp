@@ -519,18 +519,8 @@ void Executor::note_reservation_wait(const Task& task, Lane lane) {
   }
   // Make blocked-on-reservation time visible in Perfetto: a "resv_wait"
   // span on the raiser's trace covering skip-to-admission.
-  if (obs::tracing_enabled() && task.trace.valid()) {
-    obs::Span span;
-    span.trace_id = task.trace.trace_id;
-    span.parent_span = task.trace.span_id;
-    span.span_id = obs::tracer().new_id();
-    span.node = node_;
-    span.name = "resv_wait";
-    span.detail = lane_name(lane);
-    span.start_us = task.blocked_since_us;
-    span.dur_us = waited;
-    obs::tracer().record(span);
-  }
+  obs::record_span("resv_wait", node_, task.trace, task.blocked_since_us,
+                   waited, lane_name(lane));
 }
 
 void Executor::shutdown() {

@@ -18,7 +18,7 @@ void inc(common::PaddedCounter& counter, std::uint64_t n = 1) {
 }  // namespace
 
 Network::Network(NetworkConfig config)
-    : config_(config), rng_(config.seed) {
+    : config_(config) {
   fault_epoch_rep_.store(clock_.now().count(), std::memory_order_release);
   transit_us_ = &obs::metrics().histogram("net.transit_us");
   wire_thread_ = std::thread([this] { wire_loop(); });
@@ -222,17 +222,6 @@ Status Network::send(Message message) {
   if (it == nodes_.end()) {
     return {StatusCode::kNoSuchNode, message.to.to_string()};
   }
-  if (config_.drop_probability > 0.0) {
-    bool lost;
-    {
-      std::lock_guard<std::mutex> rng_lock(rng_mu_);
-      lost = rng_.chance(config_.drop_probability);
-    }
-    if (lost) {
-      drop(&AtomicStats::dropped_legacy);
-      return Status::ok();  // datagram semantics: loss is silent
-    }
-  }
   transmit(*it->second, std::move(message));
   return Status::ok();
 }
@@ -419,7 +408,6 @@ NetworkStats Network::stats() const {
       stats_.dropped_by_fault.load(std::memory_order_relaxed);
   out.dropped_by_partition =
       stats_.dropped_by_partition.load(std::memory_order_relaxed);
-  out.dropped_legacy = stats_.dropped_legacy.load(std::memory_order_relaxed);
   out.dropped_crashed = stats_.dropped_crashed.load(std::memory_order_relaxed);
   out.dropped_no_route =
       stats_.dropped_no_route.load(std::memory_order_relaxed);
@@ -444,7 +432,6 @@ void Network::reset_stats() {
   stats_.wire_queued.store(0, std::memory_order_relaxed);
   stats_.dropped_by_fault.store(0, std::memory_order_relaxed);
   stats_.dropped_by_partition.store(0, std::memory_order_relaxed);
-  stats_.dropped_legacy.store(0, std::memory_order_relaxed);
   stats_.dropped_crashed.store(0, std::memory_order_relaxed);
   stats_.dropped_no_route.store(0, std::memory_order_relaxed);
   stats_.dropped_backpressure.store(0, std::memory_order_relaxed);
@@ -584,18 +571,10 @@ void Network::note_transit(const Message& message) {
   if (obs::metrics_enabled()) {
     transit_us_->record_us(transit);
   }
-  if (obs::tracing_enabled() && message.trace_id != 0) {
-    obs::Span span;
-    span.trace_id = message.trace_id;
-    span.span_id = obs::tracer().new_id();
-    span.parent_span = message.span_id;
-    span.node = message.to.value();
-    span.track = 0;  // dedicated wire track per node
-    span.name = "wire";
-    span.start_us = message.sent_at_us;
-    span.dur_us = transit;
-    obs::tracer().record(std::move(span));
-  }
+  // Track 0 is the node's dedicated wire track.
+  obs::record_span("wire", message.to.value(),
+                   obs::TraceContext{message.trace_id, message.span_id},
+                   message.sent_at_us, transit);
 }
 
 void Network::delivery_loop(NodeState& state) {

@@ -39,7 +39,6 @@
 #include "common/inline.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/result.hpp"
-#include "common/rng.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
@@ -61,12 +60,8 @@ enum class TransportKind : std::uint8_t {
 struct NetworkConfig {
   Duration base_latency{0};        // one-way latency applied to every message
   Duration per_byte_latency{0};    // additional latency per payload byte
-  // LEGACY: applies to point-to-point sends ONLY; broadcast/multicast legs
-  // are never dropped by it.  New code should configure loss through
-  // FaultPlan::link_defaults (load_fault_plan), which makes every fan-out
-  // leg independently lossy and is replayable from the plan seed.
-  double drop_probability = 0.0;
-  std::uint64_t seed = 0x5EED;
+  // Loss, duplication and reordering come from a FaultPlan
+  // (load_fault_plan), replayable from the plan's seed.
   // Per-node inbound mailbox bound; 0 = unbounded.  When a destination's
   // delivery thread falls behind by this many messages, further traffic to
   // it is dropped (datagram semantics, counted as dropped_backpressure)
@@ -104,7 +99,6 @@ struct NetworkStats {
   // Per-cause loss breakdown (each also counts into `dropped`).
   std::uint64_t dropped_by_fault = 0;      // injector probabilistic drop
   std::uint64_t dropped_by_partition = 0;  // partitioned pair at delivery
-  std::uint64_t dropped_legacy = 0;        // NetworkConfig::drop_probability
   std::uint64_t dropped_crashed = 0;       // to or from a crashed node
   std::uint64_t dropped_no_route = 0;      // destination vanished in transit
   std::uint64_t dropped_backpressure = 0;  // destination mailbox was full
@@ -221,7 +215,6 @@ class Network final : public Transport {
     common::PaddedCounter wire_queued;
     common::PaddedCounter dropped_by_fault;
     common::PaddedCounter dropped_by_partition;
-    common::PaddedCounter dropped_legacy;
     common::PaddedCounter dropped_crashed;
     common::PaddedCounter dropped_no_route;
     common::PaddedCounter dropped_backpressure;
@@ -282,10 +275,6 @@ class Network final : public Transport {
   std::priority_queue<WireItem, std::vector<WireItem>, std::greater<>> wire_;
   std::uint64_t wire_sequence_ = 0;
   bool shutting_down_ = false;
-
-  // LEGACY drop_probability draws (p2p only, off by default).
-  std::mutex rng_mu_;
-  SplitMix64 rng_;
 
   // Fault plan execution (injector is internally synchronized; the schedule
   // is applied by the wire thread).

@@ -700,18 +700,9 @@ void SocketTransport::note_transit(const Message& message) {
   if (obs::metrics_enabled()) {
     transit_us_->record_us(transit);
   }
-  if (obs::tracing_enabled() && message.trace_id != 0) {
-    obs::Span span;
-    span.trace_id = message.trace_id;
-    span.span_id = obs::tracer().new_id();
-    span.parent_span = message.span_id;
-    span.node = message.to.value();
-    span.track = 0;
-    span.name = "wire";
-    span.start_us = message.sent_at_us;
-    span.dur_us = transit;
-    obs::tracer().record(std::move(span));
-  }
+  obs::record_span("wire", message.to.value(),
+                   obs::TraceContext{message.trace_id, message.span_id},
+                   message.sent_at_us, transit);
 }
 
 void SocketTransport::writer_loop(Peer& peer) {

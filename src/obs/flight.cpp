@@ -5,23 +5,30 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace doct::obs {
+
+// A slot is the Record's bytes as atomic words; word 0 is the seq.
+constexpr std::size_t kWords = sizeof(Record) / sizeof(std::uint64_t);
+static_assert(sizeof(Record) == 128 && std::is_trivially_copyable_v<Record>);
+
+struct alignas(64) FlightRecorder::Slot {
+  std::atomic<std::uint64_t> word[kWords];
+};
+
 namespace {
 
-constexpr std::size_t kDefaultRing = 4096;
+constexpr std::size_t kDefaultRing = 65536;
+// Slot seq while a writer fills the body.
+constexpr std::uint64_t kBusy = ~std::uint64_t{0};
 
-// Bounded copy into a fixed char field; always NUL-terminated, and any byte
-// that would break the (hand-rolled, signal-safe) JSON emitter is replaced.
 template <std::size_t N>
 void copy_field(char (&dst)[N], std::string_view src) {
   const std::size_t n = std::min(src.size(), N - 1);
@@ -31,20 +38,44 @@ void copy_field(char (&dst)[N], std::string_view src) {
                  ? '.'
                  : c;
   }
-  dst[n] = '\0';
+  std::memset(dst + n, 0, N - n);
 }
 
-// write(2) a NUL-terminated string, retrying on short writes; signal-safe.
-void write_str(int fd, const char* s) {
-  std::size_t len = std::strlen(s);
-  const char* p = s;
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n <= 0) return;
-    p += n;
-    len -= static_cast<std::size_t>(n);
+// Seqlock read of the slot expected to hold `seq`: false when the slot holds
+// another record, is being written, or changed under the read.  Only atomic
+// loads and memcpy, so it is safe in a signal handler.
+bool read_slot(const std::atomic<std::uint64_t> (&word)[kWords],
+               std::uint64_t seq, Record& out) {
+  if (word[0].load(std::memory_order_acquire) != seq) return false;
+  std::uint64_t body[kWords];
+  body[0] = seq;
+  for (std::size_t k = 1; k < kWords; ++k) {
+    body[k] = word[k].load(std::memory_order_relaxed);
   }
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (word[0].load(std::memory_order_relaxed) != seq) return false;
+  std::memcpy(&out, body, sizeof(out));
+  return true;
 }
+
+// write(2) sink with a sticky error; signal-safe.
+struct FdOut {
+  int fd;
+  bool ok = true;
+
+  void put(const char* s) {
+    std::size_t len = std::strlen(s);
+    while (ok && len > 0) {
+      const ssize_t n = ::write(fd, s, len);
+      if (n <= 0) {
+        ok = false;
+        return;
+      }
+      s += n;
+      len -= static_cast<std::size_t>(n);
+    }
+  }
+};
 
 // Minimal unsigned/signed decimal rendering into a caller buffer
 // (snprintf is not on the async-signal-safe list; this is).
@@ -94,28 +125,36 @@ void crash_handler(int sig) {
 
 }  // namespace
 
+void Record::set_name(std::string_view text) { copy_field(name, text); }
+
+void Record::set_detail(std::string_view text) { copy_field(detail, text); }
+
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder* instance = new FlightRecorder();  // never destroyed
   return *instance;
 }
 
+void FlightRecorder::reserve(std::size_t capacity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ring_.load(std::memory_order_relaxed) != nullptr) return;
+  if (capacity == 0) {
+    if (const char* env = std::getenv("DOCT_FLIGHT_RING")) {
+      capacity = std::strtoull(env, nullptr, 10);
+    }
+    if (capacity == 0) capacity = kDefaultRing;
+  }
+  capacity_ = capacity;
+  ring_.store(new Slot[capacity](), std::memory_order_release);
+}
+
 void FlightRecorder::configure(std::uint64_t node, std::string dir,
                                std::size_t capacity) {
+  reserve(capacity);
   {
-    std::lock_guard<std::mutex> lock(dir_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     dir_ = std::move(dir);
   }
   node_.store(node, std::memory_order_relaxed);
-  if (!ring_) {
-    if (capacity == 0) {
-      if (const char* env = std::getenv("DOCT_FLIGHT_RING")) {
-        capacity = std::strtoull(env, nullptr, 10);
-      }
-      if (capacity == 0) capacity = kDefaultRing;
-    }
-    capacity_ = capacity;
-    ring_ = std::make_unique<FlightEntry[]>(capacity_);
-  }
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -126,41 +165,110 @@ bool FlightRecorder::configure_from_env(std::uint64_t node) {
   return true;
 }
 
+std::size_t FlightRecorder::capacity() const {
+  return ring_.load(std::memory_order_acquire) != nullptr ? capacity_ : 0;
+}
+
+std::uint64_t FlightRecorder::dropped_total() const {
+  const std::uint64_t head = noted_total();
+  const std::size_t cap = capacity();
+  return head > cap ? head - cap : 0;
+}
+
 void FlightRecorder::note(const char* kind, std::string_view detail,
                           std::uint64_t a, std::uint64_t b) {
   if (!enabled()) return;
-  const std::uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
-  FlightEntry& slot = ring_[i % capacity_];
-  // Unpublish, write the body, republish.  A dump racing this write sees
-  // seq == 0 and skips the slot instead of reading a torn entry.
-  slot.seq = 0;
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.ts_us = now_us();
-  slot.a = a;
-  slot.b = b;
-  copy_field(slot.kind, kind);
-  copy_field(slot.detail, detail);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.seq = i + 1;
+  Record record;
+  record.start_us = now_us();
+  record.node = a;
+  record.track = b;
+  record.set_name(kind);
+  record.set_detail(detail);
+  write(record);
 }
 
-std::vector<FlightEntry> FlightRecorder::entries() const {
-  std::vector<FlightEntry> out;
-  if (!ring_) return out;
-  out.reserve(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    if (ring_[i].seq != 0) out.push_back(ring_[i]);
+void FlightRecorder::write(const Record& record) {
+  Slot* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
+  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed) + 1;
+  auto& word = ring[(seq - 1) % capacity_].word;
+  // Claim the slot.  It is busy (kBusy is above every seq) or holds a newer
+  // lap only when this writer fell a whole lap behind: drop the record
+  // rather than mix two bodies.
+  std::uint64_t held = word[0].load(std::memory_order_relaxed);
+  if (held > seq ||
+      !word[0].compare_exchange_strong(held, kBusy,
+                                       std::memory_order_relaxed)) {
+    return;
   }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEntry& x, const FlightEntry& y) {
-              return x.seq < y.seq;
-            });
+  std::atomic_thread_fence(std::memory_order_release);
+  std::uint64_t body[kWords];
+  std::memcpy(body, &record, sizeof(body));
+  for (std::size_t k = 1; k < kWords; ++k) {
+    word[k].store(body[k], std::memory_order_relaxed);
+  }
+  word[0].store(seq, std::memory_order_release);
+}
+
+template <typename Fn>
+void FlightRecorder::for_each_since(std::uint64_t after, Fn&& fn) const {
+  const Slot* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
+  const std::uint64_t head = noted_total();
+  // Seq s lives in slot (s - 1) % capacity until a lap overwrites it, so
+  // walking the live seq window yields publish order without sorting.
+  std::uint64_t seq = std::max<std::uint64_t>(
+      after, head > capacity_ ? head - capacity_ : 0);
+  Record record;
+  while (++seq <= head) {
+    if (read_slot(ring[(seq - 1) % capacity_].word, seq, record)) fn(record);
+  }
+}
+
+std::vector<Record> FlightRecorder::records_since(std::uint64_t after) const {
+  std::vector<Record> out;
+  for_each_since(after, [&](const Record& record) { out.push_back(record); });
   return out;
 }
 
 std::string FlightRecorder::dir() const {
-  std::lock_guard<std::mutex> lock(dir_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return dir_;
+}
+
+bool FlightRecorder::write_entries(int fd) const {
+  FdOut out{fd};
+  char num[24];
+  out.put("\"entries\":[");
+  bool first = true;
+  for_each_since(0, [&](const Record& e) {
+    out.put(first ? "{\"seq\":" : ",{\"seq\":");
+    first = false;
+    out.put(format_u64(e.seq, num, sizeof(num)));
+    out.put(",\"ts_us\":");
+    out.put(format_i64(e.start_us, num, sizeof(num)));
+    out.put(",\"kind\":\"");
+    out.put(e.name);  // set_name already stripped JSON-unsafe bytes
+    out.put("\",\"detail\":\"");
+    out.put(e.detail);
+    out.put("\",\"a\":");
+    out.put(format_u64(e.node, num, sizeof(num)));
+    out.put(",\"b\":");
+    out.put(format_u64(e.track, num, sizeof(num)));
+    if (e.is_span()) {
+      out.put(",\"dur_us\":");
+      out.put(format_i64(e.dur_us, num, sizeof(num)));
+      out.put(",\"trace_id\":");
+      out.put(format_u64(e.trace_id, num, sizeof(num)));
+      out.put(",\"span_id\":");
+      out.put(format_u64(e.span_id, num, sizeof(num)));
+      out.put(",\"parent\":");
+      out.put(format_u64(e.parent_span, num, sizeof(num)));
+    }
+    out.put("}");
+  });
+  out.put("]");
+  return out.ok;
 }
 
 Status FlightRecorder::dump(const std::string& reason) {
@@ -175,31 +283,36 @@ Status FlightRecorder::dump(const std::string& reason) {
 
 Status FlightRecorder::dump_to(const std::string& path,
                                const std::string& reason) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+  // Render the context documents first: the file then holds the ring as it
+  // was when the dump was asked for, not after the render's own records.
+  const std::string metrics_doc = metrics().snapshot_json();
+  const std::string trace_doc = tracer().to_chrome_json();
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
     return Status(StatusCode::kInternal, "flight: cannot open " + path);
   }
-  out << "{\"node\":" << node() << ",\"reason\":\"" << reason
-      << "\",\"signal\":false,\"noted_total\":" << noted_total()
-      << ",\"entries\":[";
-  bool first = true;
-  for (const FlightEntry& e : entries()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"seq\":" << e.seq << ",\"ts_us\":" << e.ts_us << ",\"kind\":\""
-        << e.kind << "\",\"detail\":\"" << e.detail << "\",\"a\":" << e.a
-        << ",\"b\":" << e.b << "}";
-  }
+  const std::string head = "{\"node\":" + std::to_string(node()) +
+                           ",\"reason\":\"" + reason +
+                           "\",\"signal\":false,\"noted_total\":" +
+                           std::to_string(noted_total()) + ",";
+  FdOut out{fd};
+  out.put(head.c_str());
+  const bool entries_ok = write_entries(fd);
   // Full-fidelity context: the whole metrics document and Chrome trace ride
   // along (cheap here — this path only runs on rare, interesting events).
-  out << "],\"metrics\":" << metrics().snapshot_json()
-      << ",\"trace\":" << tracer().to_chrome_json() << "}";
-  return out ? Status::ok()
+  out.put(",\"metrics\":");
+  out.put(metrics_doc.c_str());
+  out.put(",\"trace\":");
+  out.put(trace_doc.c_str());
+  out.put("}");
+  const bool closed = ::close(fd) == 0;
+  return out.ok && entries_ok && closed
+             ? Status::ok()
              : Status(StatusCode::kInternal, "flight: write failed");
 }
 
 void FlightRecorder::dump_signal(const char* reason) {
-  if (!ring_) return;
+  if (ring_.load(std::memory_order_acquire) == nullptr) return;
   // Compose the path with signal-safe primitives only.
   static char path[512];
   {
@@ -229,35 +342,15 @@ void FlightRecorder::dump_signal(const char* reason) {
   }
   const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
+  FdOut out{fd};
   char num[24];
-  write_str(fd, "{\"node\":");
-  write_str(fd, format_u64(node(), num, sizeof(num)));
-  write_str(fd, ",\"reason\":\"");
-  write_str(fd, reason);
-  write_str(fd, "\",\"signal\":true,\"entries\":[");
-  // Oldest-first scan without sorting: walk the ring from the current head.
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  bool first = true;
-  for (std::size_t k = 0; k < capacity_; ++k) {
-    const FlightEntry& e = ring_[(head + k) % capacity_];
-    if (e.seq == 0) continue;
-    if (!first) write_str(fd, ",");
-    first = false;
-    write_str(fd, "{\"seq\":");
-    write_str(fd, format_u64(e.seq, num, sizeof(num)));
-    write_str(fd, ",\"ts_us\":");
-    write_str(fd, format_i64(e.ts_us, num, sizeof(num)));
-    write_str(fd, ",\"kind\":\"");
-    write_str(fd, e.kind);  // copy_field already stripped JSON-unsafe bytes
-    write_str(fd, "\",\"detail\":\"");
-    write_str(fd, e.detail);
-    write_str(fd, "\",\"a\":");
-    write_str(fd, format_u64(e.a, num, sizeof(num)));
-    write_str(fd, ",\"b\":");
-    write_str(fd, format_u64(e.b, num, sizeof(num)));
-    write_str(fd, "}");
-  }
-  write_str(fd, "]}");
+  out.put("{\"node\":");
+  out.put(format_u64(node(), num, sizeof(num)));
+  out.put(",\"reason\":\"");
+  out.put(reason);
+  out.put("\",\"signal\":true,");
+  (void)write_entries(fd);
+  out.put("}");
   ::close(fd);
 }
 

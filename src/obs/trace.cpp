@@ -1,12 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
-
-#include "obs/metrics.hpp"  // now_us()
 
 namespace doct::obs {
 namespace {
@@ -23,33 +20,6 @@ std::uint64_t this_track() {
   return track;
 }
 
-void append_escaped(std::ostringstream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 bool tracing_enabled() {
@@ -57,6 +27,7 @@ bool tracing_enabled() {
 }
 
 void set_tracing_enabled(bool enabled) {
+  if (enabled) flight().reserve();
   g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
 
@@ -70,63 +41,20 @@ Tracer& Tracer::global() {
 }
 
 Tracer::Tracer() {
-  // Export the eviction counter alongside the metrics snapshot.  The handle
-  // leaks with the singleton; the closure only reads an atomic, so it never
-  // re-enters the registry (snapshot_json pulls sources under its lock).
-  static auto* handle = new MetricsRegistry::SourceHandle(
-      metrics().register_source("obs", [this] {
-        return std::vector<std::pair<std::string, std::uint64_t>>{
-            {"trace_dropped_total", dropped_.load(std::memory_order_relaxed)}};
-      }));
-  (void)handle;
-}
-
-void Tracer::record(Span span) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() >= capacity_) {
-    spans_.pop_front();
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  span.seq = ++record_seq_;
-  spans_.push_back(std::move(span));
-}
-
-std::vector<Span> Tracer::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<Span>(spans_.begin(), spans_.end());
+  // Export the overwrite counter alongside the metrics snapshot.  The
+  // closure only reads atomics, so it never re-enters the registry
+  // (snapshot_json pulls sources under its lock).
+  metrics_source_ = metrics().register_source("obs", [] {
+    return std::vector<std::pair<std::string, std::uint64_t>>{
+        {"trace_dropped_total", flight().dropped_total()}};
+  });
 }
 
 std::vector<Span> Tracer::snapshot_since(std::uint64_t after_seq) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Seqs are monotonic along the deque, so binary-search the cursor.
-  auto it = std::lower_bound(
-      spans_.begin(), spans_.end(), after_seq + 1,
-      [](const Span& span, std::uint64_t seq) { return span.seq < seq; });
-  return std::vector<Span>(it, spans_.end());
-}
-
-std::uint64_t Tracer::last_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return record_seq_;
-}
-
-void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
-}
-
-void Tracer::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (spans_.size() > capacity_) {
-    spans_.pop_front();
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::size_t Tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
+  std::vector<Span> spans = flight().records_since(
+      std::max(after_seq, cleared_.load(std::memory_order_relaxed)));
+  std::erase_if(spans, [](const Span& span) { return !span.is_span(); });
+  return spans;
 }
 
 std::string Tracer::to_chrome_json() const {
@@ -137,34 +65,52 @@ std::string Tracer::to_chrome_json() const {
   bool first = true;
 
   // One metadata record per node so Perfetto labels each track.
-  std::map<std::uint64_t, bool> nodes;
-  for (const Span& span : spans) nodes[span.node] = true;
-  for (const auto& [node, unused] : nodes) {
+  std::set<std::uint64_t> nodes;
+  for (const Span& span : spans) nodes.insert(span.node);
+  for (const std::uint64_t node : nodes) {
     if (!first) out << ",";
     first = false;
     out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << node
         << ",\"tid\":0,\"args\":{\"name\":\"node " << node << "\"}}";
   }
 
+  // Names and details were made JSON-safe when the record was written.
   for (const Span& span : spans) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"";
-    append_escaped(out, span.name);
-    out << "\",\"cat\":\"doct\",\"ph\":\"X\",\"pid\":" << span.node
+    out << "{\"name\":\"" << span.name
+        << "\",\"cat\":\"doct\",\"ph\":\"X\",\"pid\":" << span.node
         << ",\"tid\":" << span.track << ",\"ts\":" << span.start_us
         << ",\"dur\":" << span.dur_us << ",\"args\":{\"trace_id\":\""
         << span.trace_id << "\",\"span_id\":\"" << span.span_id
         << "\",\"parent\":\"" << span.parent_span << "\"";
-    if (!span.detail.empty()) {
-      out << ",\"detail\":\"";
-      append_escaped(out, span.detail);
-      out << "\"";
-    }
+    if (span.detail[0] != '\0') out << ",\"detail\":\"" << span.detail << "\"";
     out << "}}";
   }
   out << "]}";
   return out.str();
+}
+
+void record_span(const char* name, std::uint64_t node, TraceContext parent,
+                 std::int64_t start_us, std::int64_t dur_us,
+                 std::string_view detail, std::uint64_t track) {
+  if (!tracing_enabled() || !parent.valid()) return;
+  Span span;
+  span.trace_id = parent.trace_id;
+  span.span_id = tracer().new_id();
+  span.parent_span = parent.span_id;
+  span.node = node;
+  span.track = track;
+  span.set_name(name);
+  span.set_detail(detail);
+  span.start_us = start_us;
+  span.dur_us = dur_us;
+  tracer().record(span);
+}
+
+void mark(const char* name, std::uint64_t node, std::string_view detail) {
+  if (!tracing_enabled()) return;
+  record_span(name, node, t_current, now_us(), 0, detail, this_track());
 }
 
 SpanGuard::SpanGuard(const char* name, std::uint64_t node,
@@ -197,8 +143,8 @@ void SpanGuard::open(const char* name, std::uint64_t node, TraceContext parent,
   span_.parent_span = parent.span_id;
   span_.node = node;
   span_.track = this_track();
-  span_.name = name;
-  span_.detail.assign(detail.data(), detail.size());
+  span_.set_name(name);
+  span_.set_detail(detail);
   span_.start_us = now_us();
   saved_ = t_current;
   t_current = TraceContext{span_.trace_id, span_.span_id};
@@ -208,7 +154,7 @@ SpanGuard::~SpanGuard() {
   if (!active_) return;
   t_current = saved_;
   span_.dur_us = now_us() - span_.start_us;
-  tracer().record(std::move(span_));
+  tracer().record(span_);
 }
 
 }  // namespace doct::obs

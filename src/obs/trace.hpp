@@ -2,25 +2,29 @@
 // enters the system (raise / raise_and_wait / RPC call) and propagated
 // through net::Message headers, RPC requests, kernel delivery, handler
 // execution, and resume, so one event's life is reconstructible across
-// nodes.  Spans land in a process-wide bounded buffer and export as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing): one track per
-// node, spans named raise/route/wire/deliver/handle/resume.
+// nodes.  Spans land in the process's record ring (obs/flight.hpp) next to
+// the flight recorder's breadcrumbs, and export as Chrome trace-event JSON
+// (loadable in Perfetto / chrome://tracing): one track per node, spans
+// named raise/route/wire/deliver/handle/resume.
 //
 // Same cost contract as metrics: tracing_enabled() is a relaxed atomic load,
-// and a disabled SpanGuard does no clock read, no allocation, no lock.
+// and a disabled SpanGuard does no clock read, no allocation, no lock.  An
+// enabled one does no allocation and no lock either.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/flight.hpp"
+#include "obs/metrics.hpp"
+
 namespace doct::obs {
 
 [[nodiscard]] bool tracing_enabled();
+// Turning tracing on reserves the record ring.
 void set_tracing_enabled(bool enabled);
 
 // Identity of one causal chain (trace_id) and the currently-open span within
@@ -37,24 +41,12 @@ struct TraceContext {
 [[nodiscard]] TraceContext current_context();
 void set_current_context(TraceContext ctx);
 
-// One finished span.  `name` is a static string (span vocabulary is fixed);
-// `detail` carries the variable part (event name, RPC method).
-struct Span {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span = 0;
-  std::uint64_t node = 0;   // exported as the Chrome pid → one track per node
-  std::uint64_t track = 0;  // tid within the node track
-  const char* name = "";
-  std::string detail;
-  std::int64_t start_us = 0;
-  std::int64_t dur_us = 0;
-  // Per-process record order (1-based, assigned by Tracer::record); lets a
-  // collector pull only the spans it has not seen yet (snapshot_since).
-  std::uint64_t seq = 0;
-};
+// A finished span is a ring record with a trace id.  `name` comes from the
+// fixed span vocabulary; `detail` carries the variable part (event name,
+// RPC method).
+using Span = Record;
 
-// Process-wide bounded span buffer.
+// Span view of the process's record ring.
 class Tracer {
  public:
   static Tracer& global();
@@ -77,27 +69,32 @@ class Tracer {
     }
   }
 
-  void record(Span span);
+  void record(const Span& span) { flight().write(span); }
 
-  [[nodiscard]] std::vector<Span> snapshot() const;
+  // Spans still in the ring since the last clear(), oldest first.
+  [[nodiscard]] std::vector<Span> snapshot() const {
+    return snapshot_since(0);
+  }
 
   // Spans recorded after the given sequence number (exclusive), oldest
   // first.  The caller remembers the max seq it saw and passes it back —
-  // incremental pulls instead of re-shipping the whole ring.  Spans evicted
-  // before the cursor caught up are simply gone (count them via
-  // dropped_total()).
+  // incremental pulls instead of re-shipping the whole ring.  Spans the
+  // ring overwrote before the cursor caught up are simply gone (count them
+  // via dropped_total()).
   [[nodiscard]] std::vector<Span> snapshot_since(std::uint64_t after_seq) const;
-  [[nodiscard]] std::uint64_t last_seq() const;
+  [[nodiscard]] std::uint64_t last_seq() const {
+    return flight().noted_total();
+  }
 
-  void clear();
+  // Hides everything recorded so far from snapshot() and snapshot_since().
+  void clear() {
+    cleared_.store(last_seq(), std::memory_order_relaxed);
+  }
 
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
-
-  // Spans evicted from the bounded buffer since process start; exported as
+  // Ring records overwritten since process start; exported as
   // "obs.trace_dropped_total" so soaks can see when the window overflowed.
   [[nodiscard]] std::uint64_t dropped_total() const {
-    return dropped_.load(std::memory_order_relaxed);
+    return flight().dropped_total();
   }
 
   // Chrome trace-event JSON: {"traceEvents":[...]} with one "M"
@@ -109,14 +106,22 @@ class Tracer {
   Tracer();
 
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> dropped_{0};
-  mutable std::mutex mu_;
-  std::deque<Span> spans_;
-  std::size_t capacity_ = 1 << 16;
-  std::uint64_t record_seq_ = 0;  // under mu_; monotonic with deque order
+  std::atomic<std::uint64_t> cleared_{0};
+  MetricsRegistry::SourceHandle metrics_source_;
 };
 
 [[nodiscard]] inline Tracer& tracer() { return Tracer::global(); }
+
+// Records an already-finished span as a child of `parent`; no-op when
+// tracing is off or `parent` is invalid.  For legs whose start was stamped
+// elsewhere (wire transit, reservation waits).
+void record_span(const char* name, std::uint64_t node, TraceContext parent,
+                 std::int64_t start_us, std::int64_t dur_us,
+                 std::string_view detail = {}, std::uint64_t track = 0);
+
+// A zero-duration span under the current context, on this thread's track:
+// an outcome with no extent of its own (the default action, a dead target).
+void mark(const char* name, std::uint64_t node, std::string_view detail = {});
 
 // Tag selecting the SpanGuard constructor that starts a new trace when no
 // ambient context exists (used at raise/RPC entry points).

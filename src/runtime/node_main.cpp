@@ -124,6 +124,20 @@ Result<rpc::Payload> poll_call(runtime::NodeRuntime& node, NodeId target,
   }
 }
 
+// --kill runs: blocks until this node's failure detector has heard every
+// mesh peer, so the victim's death is observable here once it is killed.
+bool await_mesh(const Options& opt, runtime::NodeRuntime& node) {
+  if (!opt.kill_victim.valid()) return true;
+  const auto until = std::chrono::steady_clock::now() + 60s;
+  for (const auto& [peer, address] : opt.peers) {
+    while (!node.health()->has_heard(peer)) {
+      if (std::chrono::steady_clock::now() >= until) return false;
+      std::this_thread::sleep_for(10ms);
+    }
+  }
+  return true;
+}
+
 int run_coordinator(const Options& opt, runtime::NodeRuntime& node,
                     EventId ping, std::atomic<bool>& victim_down) {
   // Discover every worker's ThreadId.
@@ -137,6 +151,7 @@ int run_coordinator(const Options& opt, runtime::NodeRuntime& node,
     Reader r(std::move(reply).value());
     workers[NodeId{n}] = r.get_id<ThreadTag>();
   }
+  if (!await_mesh(opt, node)) return fail("never heard every peer");
   std::cout << "MP-OK discover " << workers.size() << " workers" << std::endl;
 
   // Remote raise at each worker thread, then a synchronous round trip.
@@ -209,7 +224,8 @@ int run_coordinator(const Options& opt, runtime::NodeRuntime& node,
   return 0;
 }
 
-int run_worker(const Options& opt, runtime::NodeRuntime& node, EventId ping) {
+int run_worker(const Options& opt, runtime::NodeRuntime& node, EventId ping,
+               const std::atomic<bool>& victim_down) {
   std::atomic<bool> ready{false};
   kernel::SpawnOptions spawn_opts;
   spawn_opts.group = kWorkerGroup;
@@ -226,8 +242,10 @@ int run_worker(const Options& opt, runtime::NodeRuntime& node, EventId ping) {
     std::this_thread::sleep_for(1ms);
   }
 
-  // Publish discovery + progress probes only once the worker is ready, so a
-  // coordinator that can see the methods can also raise at the thread.
+  if (!await_mesh(opt, node)) return fail("never heard every peer");
+  // Publish discovery + progress probes only once the worker is ready (and,
+  // for --kill, hears the whole mesh), so a coordinator that can see the
+  // methods can also raise at the thread.
   node.rpc.register_method("mp.worker_info",
                            [tid](NodeId, Reader&) -> Result<rpc::Payload> {
                              Writer w;
@@ -243,6 +261,16 @@ int run_worker(const Options& opt, runtime::NodeRuntime& node, EventId ping) {
 
   const Status joined = node.kernel.join_thread(tid, 300s);
   if (!joined.is_ok()) return fail("worker join: " + joined.to_string());
+  if (opt.kill_victim.valid()) {
+    // The coordinator's detector may see the victim go silent before ours
+    // does and TERMINATE us at once; stay up until our own detector reports
+    // it too, so every survivor prints MP-NODE-DOWN and dumps its ring.
+    const auto until = std::chrono::steady_clock::now() + 30s;
+    while (!victim_down.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(10ms);
+    }
+  }
   std::cout << "MP-EXIT " << opt.self.to_string() << std::endl;
   return 0;
 }
@@ -322,7 +350,7 @@ int main(int argc, char** argv) {
 
   const int rc = opt.self == kCoordinator
                      ? run_coordinator(opt, node, ping, victim_down)
-                     : run_worker(opt, node, ping);
+                     : run_worker(opt, node, ping, victim_down);
   dump_obs(opt);
   return rc;
 }

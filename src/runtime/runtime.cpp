@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -46,16 +45,6 @@ constexpr std::uint32_t kTraceDeltaMax = 4096;
 // Remote shards answer obs pulls quickly or not at all (a dead shard must
 // not stall the whole round).
 constexpr Duration kObsPullTimeout = std::chrono::milliseconds(1500);
-
-// Span names are `const char*` with static lifetime by contract; spans
-// arriving from remote shards intern theirs here (the vocabulary is small
-// and fixed, so this set never grows past a handful of entries).
-const char* intern_span_name(const std::string& name) {
-  static std::mutex mu;
-  static auto* names = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mu);
-  return names->insert(name).first->c_str();
-}
 
 // Reply for one slice of a chunked document fetch: {u64 total, str chunk}.
 rpc::Payload chunk_reply(const std::string& cache, std::uint64_t offset) {
@@ -221,8 +210,10 @@ void Cluster::register_obs_methods(NodeRuntime& node) {
       [](NodeId, Reader& args) -> Result<rpc::Payload> {
         const auto after = args.get<std::uint64_t>();
         const auto max_spans = args.get<std::uint32_t>();
-        std::vector<obs::Span> spans = obs::tracer().snapshot_since(after);
+        // Cursor first: a span recorded during the scan is shipped now or
+        // next round; only one still being written can be skipped.
         const std::uint64_t last = obs::tracer().last_seq();
+        std::vector<obs::Span> spans = obs::tracer().snapshot_since(after);
         if (spans.size() > max_spans) spans.resize(max_spans);
         Writer w;
         w.put(last);
@@ -235,7 +226,7 @@ void Cluster::register_obs_methods(NodeRuntime& node) {
           w.put(span.node);
           w.put(span.track);
           w.put(std::string(span.name));
-          w.put(span.detail);
+          w.put(std::string(span.detail));
           w.put(static_cast<std::uint64_t>(span.start_us));
           w.put(static_cast<std::uint64_t>(span.dur_us));
         }
@@ -332,11 +323,11 @@ void Cluster::collect_round() {
       span.parent_span = r.get<std::uint64_t>();
       span.node = r.get<std::uint64_t>();
       span.track = r.get<std::uint64_t>();
-      span.name = intern_span_name(r.get_string());
-      span.detail = r.get_string();
+      span.set_name(r.get_string());
+      span.set_detail(r.get_string());
       span.start_us = static_cast<std::int64_t>(r.get<std::uint64_t>());
       span.dur_us = static_cast<std::int64_t>(r.get<std::uint64_t>());
-      obs::tracer().record(std::move(span));
+      obs::tracer().record(span);
       if (seq > max_seen) max_seen = seq;
     }
     // A full batch means more spans may be waiting — keep the cursor at the

@@ -71,6 +71,11 @@ bool FailureDetector::is_suspected(NodeId peer) const {
   return suspected_.contains(peer);
 }
 
+bool FailureDetector::has_heard(NodeId peer) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_heard_.contains(peer);
+}
+
 std::vector<NodeId> FailureDetector::suspected() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {suspected_.begin(), suspected_.end()};

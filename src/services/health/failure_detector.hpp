@@ -83,6 +83,9 @@ class FailureDetector {
   void on_node_up(std::function<void(NodeId)> callback);
 
   [[nodiscard]] bool is_suspected(NodeId peer) const;
+  // Whether a heartbeat from `peer` ever arrived.  Only such peers can be
+  // suspected: one that dies before its first heartbeat lands goes unseen.
+  [[nodiscard]] bool has_heard(NodeId peer) const;
   [[nodiscard]] std::vector<NodeId> suspected() const;
   [[nodiscard]] FailureDetectorStats stats() const;
 

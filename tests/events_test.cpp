@@ -160,8 +160,11 @@ TEST(Events, LifoChainingMostRecentFirstAndPropagate) {
   while (!ready.load()) std::this_thread::sleep_for(1ms);
   ASSERT_TRUE(n0.events.raise(ev, tid).is_ok());
   for (int i = 0; i < 500; ++i) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    if (order.size() >= 2) break;
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      if (order.size() >= 2) break;
+    }
+    // Sleep unlocked: the handlers need order_mu to make progress.
     std::this_thread::sleep_for(1ms);
   }
   {

@@ -22,10 +22,17 @@ ClusterConfig fast_timeout_config() {
   return config;
 }
 
+// Every wire message (each fan-out leg too) lost with probability `p`.
+net::FaultPlan lossy_plan(double p) {
+  net::FaultPlan plan;
+  plan.seed = 1234;
+  plan.link_defaults.drop_probability = p;
+  return plan;
+}
+
 TEST(FailureInjection, RpcTimesOutUnderTotalLoss) {
-  ClusterConfig config = fast_timeout_config();
-  config.network.drop_probability = 1.0;
-  Cluster cluster(2, config);
+  Cluster cluster(2, fast_timeout_config());
+  cluster.network().load_fault_plan(lossy_plan(1.0));
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -99,9 +106,8 @@ TEST(FailureInjection, LocateFailsWhenTargetNodeIsolated) {
 }
 
 TEST(FailureInjection, OnewayInvocationLostSilently) {
-  ClusterConfig config = fast_timeout_config();
-  config.network.drop_probability = 1.0;
-  Cluster cluster(2, config);
+  Cluster cluster(2, fast_timeout_config());
+  cluster.network().load_fault_plan(lossy_plan(1.0));
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -125,10 +131,8 @@ TEST(FailureInjection, OnewayInvocationLostSilently) {
 TEST(FailureInjection, EventRaiseRecoversAfterIntermittentLoss) {
   // 30% loss: individual raises may fail to locate/deliver, but retrying
   // eventually succeeds (datagram building blocks, application-level retry).
-  ClusterConfig config = fast_timeout_config();
-  config.network.drop_probability = 0.3;
-  config.network.seed = 1234;
-  Cluster cluster(2, config);
+  Cluster cluster(2, fast_timeout_config());
+  cluster.network().load_fault_plan(lossy_plan(0.3));
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 

@@ -1,15 +1,17 @@
-// Telemetry-plane unit tests: the flight-recorder ring and its dump
-// formats, the Collector's prefix-splitting / rate conversion, the mini
-// JSON reader, the bounded trace buffer + delta cursor, chunked monitor
-// snapshot fetches, and the observer HELLO auto-peer reply path doct-top
-// rides on.
+// Telemetry-plane unit tests: the record ring (breadcrumbs and spans) and
+// its dump formats, the Collector's prefix-splitting / rate conversion, the
+// mini JSON reader, the span delta cursor, concurrent ring readers, chunked
+// monitor snapshot fetches, and the observer HELLO auto-peer reply path
+// doct-top rides on.
 //
-// The flight recorder is a process singleton whose ring capacity is fixed at
-// the FIRST configure — the first test pins it (kRing) and every later test
-// works within that.  Each ctest entry is its own process, so nothing leaks
-// into other binaries.
+// The record ring is a process singleton whose capacity is fixed at the
+// FIRST configure — every ring test pins it (kRing) before anything else can
+// reserve the default size.  Each ctest entry is its own process, so nothing
+// leaks into other binaries.  This binary's global operator new/delete are
+// the counting alloc probe (see the zero-allocation span test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_probe.hpp"
 #include "net/demux.hpp"
 #include "net/socket_transport.hpp"
 #include "obs/collector.hpp"
@@ -68,18 +71,19 @@ TEST(Flight, RingRecordsWrapsAndTruncates) {
                   static_cast<std::uint64_t>(i), 99);
   }
 
-  const std::vector<obs::FlightEntry> entries = recorder.entries();
+  const std::vector<obs::Record> entries = recorder.records_since(0);
   ASSERT_EQ(entries.size(), kRing);  // bounded: oldest 40 evicted
   // Oldest-first, strictly increasing publish order.
   for (std::size_t i = 1; i < entries.size(); ++i) {
     EXPECT_GT(entries[i].seq, entries[i - 1].seq);
   }
   EXPECT_EQ(entries.back().seq, recorder.noted_total());
-  EXPECT_STREQ(entries.back().kind, "test");
-  EXPECT_EQ(entries.back().b, 99u);
+  EXPECT_STREQ(entries.back().name, "test");
+  EXPECT_EQ(entries.back().track, 99u);  // breadcrumb operand b
+  EXPECT_FALSE(entries.back().is_span());
   // The 500-char detail was clamped to the POD slot, NUL-terminated.
   EXPECT_LT(std::string(entries.front().detail).size(),
-            sizeof(obs::FlightEntry{}.detail));
+            sizeof(obs::Record{}.detail));
 }
 
 TEST(Flight, DumpWritesParseableJson) {
@@ -112,6 +116,11 @@ TEST(Flight, SignalDumpIsWellFormedJson) {
   const std::string dir = test_dir();
   recorder.configure(7, dir, kRing);
   recorder.note("fault", "drop from=1 to=2", 1, 2);
+  obs::Span span;
+  span.trace_id = 41;
+  span.span_id = 42;
+  span.set_name("sigspan");
+  obs::tracer().record(span);
 
   // Direct call of the async-signal-safe path (the crash handlers' body).
   recorder.dump_signal("sigtest");
@@ -128,11 +137,18 @@ TEST(Flight, SignalDumpIsWellFormedJson) {
   ASSERT_NE(entries, nullptr);
   ASSERT_FALSE(entries->array.empty());
   bool found = false;
+  bool found_span = false;
   for (const obs::JsonValue& entry : entries->array) {
     const obs::JsonValue* kind = entry.find("kind");
     if (kind != nullptr && kind->string == "fault") found = true;
+    // Spans share the ring, so a crash dump carries them with their ids.
+    if (kind != nullptr && kind->string == "sigspan") {
+      found_span = entry.num_or("trace_id", 0) == 41 &&
+                   entry.num_or("span_id", 0) == 42;
+    }
   }
   EXPECT_TRUE(found);
+  EXPECT_TRUE(found_span);
 }
 
 // --- mini JSON reader --------------------------------------------------------
@@ -237,28 +253,28 @@ TEST(Collector, IngestRejectsGarbage) {
   EXPECT_TRUE(collector.nodes().empty());
 }
 
-// --- bounded trace buffer + delta cursor -------------------------------------
+// --- spans on the record ring -----------------------------------------------
 
 TEST(Trace, BoundedBufferCountsDropsAndServesDeltas) {
+  auto& recorder = obs::flight();
+  recorder.configure(7, test_dir(), kRing);
+  ASSERT_EQ(recorder.capacity(), kRing);
   auto& tracer = obs::tracer();
-  tracer.clear();
-  const std::size_t restore = tracer.capacity();
-  tracer.set_capacity(16);
-  obs::set_tracing_enabled(true);
-
+  // Records already in the ring are evicted too (none in a fresh process).
+  const std::uint64_t resident =
+      std::min<std::uint64_t>(recorder.noted_total(), kRing);
   const std::uint64_t dropped_before = tracer.dropped_total();
-  for (int i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < kRing + 24; ++i) {
     obs::Span span;
     span.trace_id = 1;
-    span.span_id = static_cast<std::uint64_t>(i) + 1;
+    span.span_id = i + 1;
     span.node = 1;
-    span.name = "unit";
-    tracer.record(std::move(span));
+    span.set_name("unit");
+    tracer.record(span);
   }
-  obs::set_tracing_enabled(false);
 
-  EXPECT_EQ(tracer.snapshot().size(), 16u);
-  EXPECT_EQ(tracer.dropped_total() - dropped_before, 24u);
+  EXPECT_EQ(tracer.snapshot().size(), kRing);
+  EXPECT_EQ(tracer.dropped_total() - dropped_before, 24u + resident);
 
   // Delta cursor: everything after the cut, nothing before it.
   const std::uint64_t last = tracer.last_seq();
@@ -268,9 +284,114 @@ TEST(Trace, BoundedBufferCountsDropsAndServesDeltas) {
   for (std::size_t i = 1; i < tail.size(); ++i) {
     EXPECT_GT(tail[i].seq, tail[i - 1].seq);
   }
+  EXPECT_EQ(tail.back().span_id, kRing + 24);
 
-  tracer.set_capacity(restore);
+  // clear() is a cursor: it hides the spans without touching the ring.
   tracer.clear();
+  EXPECT_TRUE(tracer.snapshot().empty());
+  EXPECT_EQ(recorder.records_since(0).size(), kRing);
+}
+
+// Every field of a test record derives from one value, so a record mixed
+// from two writes cannot pass.
+bool whole(const obs::Record& r) {
+  if (r.is_span()) {
+    const std::uint64_t v = r.trace_id;
+    return r.span_id == v && r.parent_span == v && r.node == v &&
+           r.track == v && r.start_us == static_cast<std::int64_t>(v) &&
+           r.dur_us == static_cast<std::int64_t>(v) &&
+           std::string(r.name) == "w" && r.detail == std::to_string(v);
+  }
+  return std::string(r.name) == "n" && r.track == r.node &&
+         r.detail == std::to_string(r.node);
+}
+
+// Four writers record spans and breadcrumbs while a reader pulls deltas the
+// way the collector does.  Also the TSan lane's check that reading the ring
+// under live writers is race-free.
+TEST(Trace, ConcurrentReaderSeesWholeRecordsInOrder) {
+  auto& recorder = obs::flight();
+  recorder.configure(7, test_dir(), kRing);
+  ASSERT_EQ(recorder.capacity(), kRing);
+  constexpr std::uint64_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 20000;
+
+  std::atomic<std::uint64_t> running{kWriters};
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 1; w <= kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        const std::uint64_t v = (w << 32) | i;
+        if (i % 2 == 0) {
+          obs::Span span;
+          span.trace_id = span.span_id = span.parent_span = v;
+          span.node = span.track = v;
+          span.start_us = span.dur_us = static_cast<std::int64_t>(v);
+          span.set_name("w");
+          span.set_detail(std::to_string(v));
+          obs::tracer().record(span);
+        } else {
+          recorder.note("n", std::to_string(v), v, v);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+
+  std::uint64_t span_cursor = 0;
+  std::uint64_t record_cursor = 0;
+  std::uint64_t seen = 0;
+  std::uint64_t torn = 0;
+  std::uint64_t out_of_order = 0;
+  bool last_pass = false;
+  while (!last_pass) {
+    last_pass = running.load() == 0;
+    for (const obs::Span& span : obs::tracer().snapshot_since(span_cursor)) {
+      if (!span.is_span() || !whole(span)) ++torn;
+      if (span.seq <= span_cursor) ++out_of_order;
+      span_cursor = span.seq;
+      ++seen;
+    }
+    for (const obs::Record& r : recorder.records_since(record_cursor)) {
+      if (!whole(r)) ++torn;
+      if (r.seq <= record_cursor) ++out_of_order;
+      record_cursor = r.seq;
+      ++seen;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_GT(seen, 0u);
+}
+
+// Tracing on and the ring armed: opening and closing spans and writing
+// breadcrumbs touches no heap, even with a detail longer than the
+// small-string buffer.
+TEST(Trace, SpansAndNotesAllocateNothing) {
+  auto& recorder = obs::flight();
+  recorder.configure(7, test_dir(), kRing);
+  obs::set_tracing_enabled(true);
+  const std::string detail = "perfbench.on_event.detail";
+  {
+    // Warm-up: the tracer singleton registers its metrics source.
+    obs::SpanGuard warm("warm", 1, obs::kMintTrace, detail);
+  }
+  const std::uint64_t before = recorder.noted_total();
+  common::alloc_probe_reset();
+  for (int i = 0; i < 100; ++i) {
+    obs::SpanGuard root("unit", 1, obs::kMintTrace, detail);
+    {
+      obs::SpanGuard child("child", 1, detail);
+    }
+    obs::mark("mark", 1, detail);
+    recorder.note("note", detail, 1, 2);
+  }
+  const std::uint64_t allocs = common::alloc_probe_allocs();
+  obs::set_tracing_enabled(false);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(recorder.noted_total() - before, 400u);  // 3 spans + 1 note each
 }
 
 // --- chunked monitor snapshot fetch ------------------------------------------

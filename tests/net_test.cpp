@@ -176,9 +176,10 @@ TEST(Network, IsolateAndReconnect) {
 }
 
 TEST(Network, DropProbabilityOneLosesEverything) {
-  NetworkConfig config;
-  config.drop_probability = 1.0;
-  Network net(config);
+  Network net;
+  FaultPlan plan;
+  plan.link_defaults.drop_probability = 1.0;
+  net.load_fault_plan(plan);
   std::atomic<int> received{0};
   ASSERT_TRUE(net.register_node(NodeId{1}, [](const Message&) {}).is_ok());
   ASSERT_TRUE(net.register_node(NodeId{2}, [&](const Message&) { received++; }).is_ok());
@@ -516,8 +517,7 @@ TEST(Network, ScheduledPartitionHeals) {
 }
 
 TEST(Network, FanoutLegsIndependentlyLossy) {
-  // The legacy NetworkConfig::drop_probability only ever applied to
-  // point-to-point sends; the injector makes each broadcast leg lossy.
+  // The injector makes each broadcast leg independently lossy.
   Network net;
   FaultPlan plan;
   plan.seed = 7;

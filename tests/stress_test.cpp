@@ -306,7 +306,6 @@ TEST(Stress, AttachDetachRacesDelivery) {
 TEST(Stress, NetworkNodeChurnWithInFlightTraffic) {
   net::NetworkConfig config;
   config.base_latency = 30us;
-  config.seed = kSuiteSeed;
   net::Network network(config);
 
   constexpr int kNodes = 4;

@@ -1,8 +1,13 @@
-// Tests for the event-lifecycle trace and the name service.
+// Tests for the event lifecycle as recorded on the causal trace, and the
+// name service.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
 #include "services/names/name_service.hpp"
 
@@ -13,25 +18,56 @@ using namespace std::chrono_literals;
 using kernel::Verdict;
 using runtime::Cluster;
 
-runtime::ClusterConfig traced_config() {
-  runtime::ClusterConfig config;
-  config.node.events.trace_capacity = 256;
-  return config;
+// Tracing is process-global and off by default; each lifecycle test turns
+// it on for its own scope (every ctest entry is its own process).
+struct TracingOn {
+  TracingOn() {
+    obs::tracer().clear();
+    obs::set_tracing_enabled(true);
+  }
+  ~TracingOn() { obs::set_tracing_enabled(false); }
+};
+
+std::vector<obs::Span> spans_named(const std::string& name,
+                                   const std::string& detail) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& span : obs::tracer().snapshot()) {
+    if (span.name == name && span.detail == detail) out.push_back(span);
+  }
+  return out;
+}
+
+// The span called `name` on trace `trace_id`, waiting for late recorders
+// (a span is recorded when it closes, possibly on another thread).
+std::optional<obs::Span> await_span(std::uint64_t trace_id,
+                                    const std::string& name) {
+  for (int i = 0; i < 2000; ++i) {
+    for (const obs::Span& span : obs::tracer().snapshot()) {
+      if (span.trace_id == trace_id && span.name == name) return span;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  return std::nullopt;
 }
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
   Cluster cluster(1);
   auto& n0 = cluster.node(0);
-  EXPECT_FALSE(n0.events.trace().enabled());
+  EXPECT_FALSE(obs::tracing_enabled());
   const EventId ev = cluster.registry().register_event("UNTRACED");
   const ThreadId tid = n0.kernel.spawn([&] { n0.kernel.sleep_for(5ms); });
   (void)n0.events.raise(ev, tid);
   ASSERT_TRUE(n0.kernel.join_thread(tid, 10s).is_ok());
-  EXPECT_TRUE(n0.events.trace().snapshot().empty());
+  EXPECT_TRUE(obs::tracer().snapshot().empty());
+  // Nothing turned tracing on or armed the flight recorder, so the record
+  // ring was never even allocated.
+  EXPECT_EQ(obs::flight().capacity(), 0u);
 }
 
+// raise -> deliver -> handle, all on the trace the raise minted.
 TEST(Trace, RecordsFullLifecycleOfHandledEvent) {
-  Cluster cluster(1, traced_config());
+  const TracingOn tracing;
+  Cluster cluster(1);
   auto& n0 = cluster.node(0);
   std::atomic<int> handled{0};
   cluster.procedures().register_procedure("traced_h",
@@ -55,24 +91,32 @@ TEST(Trace, RecordsFullLifecycleOfHandledEvent) {
   for (int i = 0; i < 1000 && handled.load() == 0; ++i) {
     std::this_thread::sleep_for(1ms);
   }
+  EXPECT_EQ(handled.load(), 1);
+
+  const std::vector<obs::Span> raises = spans_named("raise", "TRACED");
+  ASSERT_EQ(raises.size(), 1u);
+  const obs::Span& raise = raises.front();
+  const auto deliver = await_span(raise.trace_id, "deliver");
+  const auto handle = await_span(raise.trace_id, "handle");
   release = true;
   ASSERT_TRUE(n0.kernel.join_thread(tid, 10s).is_ok());
 
-  const auto records = n0.events.trace().for_event(ev);
-  ASSERT_GE(records.size(), 3u);
-  EXPECT_EQ(records[0].stage, events::TraceStage::kRaised);
-  EXPECT_EQ(records[1].stage, events::TraceStage::kDelivered);
-  EXPECT_EQ(records[2].stage, events::TraceStage::kHandlerRun);
-  EXPECT_EQ(records[2].detail, "traced_h");
-  // Sequence numbers strictly increase; human-readable form works.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GT(records[i].sequence, records[i - 1].sequence);
-  }
-  EXPECT_NE(records[0].to_string().find("RAISED"), std::string::npos);
+  ASSERT_TRUE(deliver.has_value());
+  ASSERT_TRUE(handle.has_value());
+  EXPECT_EQ(raise.parent_span, 0u);  // the raise roots the trace
+  EXPECT_EQ(deliver->parent_span, raise.span_id);
+  EXPECT_EQ(handle->parent_span, raise.span_id);
+  EXPECT_STREQ(deliver->detail, "TRACED");
+  EXPECT_STREQ(handle->detail, "TRACED");
+  // Lifecycle order by start time: raised, queued at the target, handled.
+  EXPECT_LE(raise.start_us, deliver->start_us);
+  EXPECT_LE(deliver->start_us, handle->start_us);
 }
 
+// The two outcomes without a span of their own leave zero-duration marks.
 TEST(Trace, RecordsDefaultActionAndDeadTarget) {
-  Cluster cluster(1, traced_config());
+  const TracingOn tracing;
+  Cluster cluster(1);
   auto& n0 = cluster.node(0);
   const EventId ev = cluster.registry().register_event("TRACED_DEFAULT");
   std::atomic<bool> armed{false};
@@ -85,48 +129,30 @@ TEST(Trace, RecordsDefaultActionAndDeadTarget) {
   });
   while (!armed.load()) std::this_thread::sleep_for(1ms);
   ASSERT_TRUE(n0.events.raise(ev, tid).is_ok());
-  for (int i = 0; i < 1000; ++i) {
-    const auto records = n0.events.trace().for_event(ev);
-    if (records.size() >= 3) break;
-    std::this_thread::sleep_for(1ms);
-  }
+  const std::vector<obs::Span> handled = spans_named("raise", "TRACED_DEFAULT");
+  ASSERT_EQ(handled.size(), 1u);
+  const auto applied = await_span(handled.front().trace_id, "default");
   release = true;
   ASSERT_TRUE(n0.kernel.join_thread(tid, 10s).is_ok());
 
-  bool saw_default = false;
-  for (const auto& record : n0.events.trace().for_event(ev)) {
-    if (record.stage == events::TraceStage::kDefaultApplied) saw_default = true;
-  }
-  EXPECT_TRUE(saw_default);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(applied->dur_us, 0);
+  EXPECT_STREQ(applied->detail, "TRACED_DEFAULT");
+  // Child of the handle span that ran the (empty) chain.
+  const auto handle = await_span(handled.front().trace_id, "handle");
+  ASSERT_TRUE(handle.has_value());
+  EXPECT_EQ(applied->parent_span, handle->span_id);
 
-  // Dead target is traced too.
+  // Dead target: a second raise, a second trace, marked under its raise.
   ASSERT_EQ(n0.events.raise(ev, tid).code(), StatusCode::kDeadTarget);
-  bool saw_dead = false;
-  for (const auto& record : n0.events.trace().for_event(ev)) {
-    if (record.stage == events::TraceStage::kDeadTarget) saw_dead = true;
-  }
-  EXPECT_TRUE(saw_dead);
-}
-
-TEST(Trace, RingBufferBounded) {
-  events::EventTrace trace(8);
-  for (int i = 0; i < 100; ++i) {
-    trace.record(events::TraceStage::kRaised, EventId{1}, "X", ThreadId{},
-                 ObjectId{});
-  }
-  const auto records = trace.snapshot();
-  ASSERT_EQ(records.size(), 8u);
-  EXPECT_EQ(records.back().sequence, 100u);
-  EXPECT_EQ(records.front().sequence, 93u);
-  trace.clear();
-  EXPECT_TRUE(trace.snapshot().empty());
-}
-
-TEST(Trace, EveryStageHasAName) {
-  for (int s = 0; s <= static_cast<int>(events::TraceStage::kDeadTarget); ++s) {
-    EXPECT_STRNE(events::trace_stage_name(static_cast<events::TraceStage>(s)),
-                 "?");
-  }
+  const std::vector<obs::Span> raises = spans_named("raise", "TRACED_DEFAULT");
+  ASSERT_EQ(raises.size(), 2u);
+  const obs::Span& dead_raise = raises.back();
+  EXPECT_NE(dead_raise.trace_id, handled.front().trace_id);
+  const auto dead = await_span(dead_raise.trace_id, "dead_target");
+  ASSERT_TRUE(dead.has_value());
+  EXPECT_EQ(dead->dur_us, 0);
+  EXPECT_EQ(dead->parent_span, dead_raise.span_id);
 }
 
 // --- name service ---------------------------------------------------------------
